@@ -9,6 +9,11 @@ Only end-to-end runs (--trace 0) are summarized. Records whose host
 fingerprint differs (CPU model, nproc, compiler, build type, threads)
 are never pooled or compared: the tool refuses and exits 2, since a
 number from another host is not a baseline.
+
+A/B verdicts per metric: "unresolved" when either side's quartile
+spread, (q3 - q1) / median, is wider than the metric's bound (the sets
+cannot tell a change of that size from noise); otherwise "REGRESSION"
+when the median got worse by more than the bound, else "ok".
 """
 
 import glob
@@ -62,6 +67,12 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def spread(values):
+    """Quartile spread as a share of the median."""
+    q1, q2, q3 = quartiles(values)
+    return (q3 - q1) / q2
+
+
 def main():
     args = sys.argv[1:]
     if len(args) not in (1, 2):
@@ -81,7 +92,7 @@ def main():
                 q1, q2, q3 = quartiles(vals)
                 print("%-18s %-12s median %.6g  q1 %.6g  q3 %.6g  "
                       "spread %.1f%%  n=%d" % (wl, name, q2, q1, q3,
-                                               100 * (q3 - q1) / q2,
+                                               100 * spread(vals),
                                                len(vals)))
         return 0
     new = load(args[1])
@@ -97,13 +108,18 @@ def main():
             _, mb, _ = quartiles(b[wl][name])
             change = (mb - ma) / ma
             worse = change if spec[name]["better"] == "lower" else -change
+            bound = spec[name]["bound"]
+            noise = max(spread(a[wl][name]), spread(b[wl][name]))
             verdict = "ok"
-            if worse > spec[name]["bound"]:
+            if noise > bound:
+                verdict = "unresolved"
+            elif worse > bound:
                 verdict = "REGRESSION"
                 worst = 1
             print("%-18s %-12s base %.6g  new %.6g  change %+.1f%%  "
-                  "bound %.0f%%  %s" % (wl, name, ma, mb, 100 * change,
-                                        100 * spec[name]["bound"], verdict))
+                  "spread %.1f%%  bound %.0f%%  %s" % (
+                      wl, name, ma, mb, 100 * change, 100 * noise,
+                      100 * bound, verdict))
         if sum(b[wl]["failed"]) > sum(a[wl]["failed"]):
             print("%-18s more failed cells than the base" % wl)
             worst = 1

@@ -19,10 +19,10 @@ scaleByName(const std::string &name)
     Scale s;
     s.name = name;
     if (name == "full") {
-        // Short cells give many passes per run: host noise here is
-        // slow drift, which only a median over many passes absorbs.
-        s.fig5Warmup = 20000;
-        s.fig5Measure = 120000;
+        // Short cells keep a single-thread pass near 1.5 s, so a run
+        // holds a dozen passes for its median.
+        s.fig5Warmup = 10000;
+        s.fig5Measure = 30000;
         // smarts() lays its 250k-period windows over the region; 2M is
         // the smallest region that meets its 8-window minimum.
         s.selLeadIn = 50000;

@@ -90,7 +90,8 @@ struct PassResult
 PassResult enginePass(const Context &ctx, const std::string &cache_dir);
 
 /** Run the fig5_full and selective_sampled grids of ctx into the
- *  result cache at @p cache_dir (warm_rerun's untimed fill). */
+ *  result cache at @p cache_dir (the --fill-cache step, a process of
+ *  its own before a warm_rerun run). */
 void fillCache(const Context &ctx, const std::string &cache_dir);
 
 /** @name Host measurements */

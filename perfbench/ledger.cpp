@@ -664,9 +664,7 @@ tracedRun(Context &ctx)
         std::error_code ec;
         std::filesystem::remove_all(d, ec);
     };
-    reset(cache_dir);
-    if (ctx.workload == "warm_rerun")
-        fillCache(ctx, cache_dir);
+    // warm_rerun's cache was filled by an earlier --fill-cache process.
 
     // The engine pass is the ledger's parallel baseline and its
     // cross-path reference when no recorded digests exist.

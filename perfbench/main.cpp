@@ -7,14 +7,18 @@
  *   perfbench --workload W --seed N --seconds S --trace 0|1
  *             --reference FILE --work-dir DIR [--trace-out FILE]
  *             [--scale full|smoke] [--threads T] [--corrupt-reference]
+ *   perfbench --fill-cache --workload warm_rerun --work-dir DIR ...
  *   perfbench --calibrate FILE [--seeds N]
  *
  * --trace 0 measures the end-to-end metrics over repeated engine
  * passes; --trace 1 runs the per-layer ledger (ledger.cpp).
+ * --fill-cache fills DIR/rcache with warm_rerun's cells and exits; a
+ * warm_rerun run expects a cache filled this way by an earlier process.
  * --calibrate records the reference digests and full-simulation IPCs
  * for seeds [0, N) at the full scale and seed 0 at the smoke scale.
  */
 
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -510,6 +514,52 @@ sampledIpcErrPct(const std::vector<sim::RunResult> &sampled,
     return 100.0 * sum / static_cast<double>(sampled.size());
 }
 
+/** CPUs this process may run on. */
+std::vector<int>
+allowedCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    std::vector<int> out;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        for (int c = 0; c < CPU_SETSIZE; ++c) {
+            if (CPU_ISSET(c, &set))
+                out.push_back(c);
+        }
+    }
+    return out;
+}
+
+/** Bind the calling thread (and threads it starts) to @p cpus. */
+void
+pinTo(const std::vector<int> &cpus)
+{
+    if (cpus.empty())
+        return;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (const int c : cpus)
+        CPU_SET(c, &set);
+    (void)sched_setaffinity(0, sizeof(set), &set);
+}
+
+/**
+ * Bind the calling thread to the @p i-th CPU of @p allowed, round
+ * robin; returns that CPU (-1 when the CPU list is unknown). Other
+ * tenants slow single vCPUs of the host for seconds at a time, and an
+ * unbound thread stays on the vCPU it started on; rotating the
+ * repetitions over all CPUs makes their median an average over them.
+ */
+int
+pinNext(const std::vector<int> &allowed, std::size_t i)
+{
+    if (allowed.empty())
+        return -1;
+    const int cpu = allowed[i % allowed.size()];
+    pinTo({cpu});
+    return cpu;
+}
+
 void
 resetDir(const std::string &dir)
 {
@@ -521,18 +571,21 @@ int
 untracedRun(const Context &ctx)
 {
     // Repeat set-up at least kSetupReps times and for at least
-    // kSetupMinS, so a workload whose build takes milliseconds still
-    // reports a steady median.
+    // kSetupMinS, each repetition on the next CPU, so a workload whose
+    // build takes milliseconds still reports a steady median.
+    const std::vector<int> allowed = allowedCpus();
     std::vector<double> setups;
     const double setup_start = wallNow();
     while (setups.size() < kSetupReps ||
-           (wallNow() - setup_start < kSetupMinS && setups.size() < 500))
+           (wallNow() - setup_start < kSetupMinS && setups.size() < 500)) {
+        pinNext(allowed, setups.size());
         setups.push_back(setupOnce(ctx));
+    }
+    pinTo(allowed);
 
+    // warm_rerun's cache was filled by an earlier process (--fill-cache),
+    // so this process's peak memory is that of the warm passes alone.
     const std::string cache_dir = ctx.workDir + "/rcache";
-    resetDir(cache_dir);
-    if (ctx.workload == "warm_rerun")
-        fillCache(ctx, cache_dir);
 
     std::vector<std::uint64_t> expected = expectedDigests(ctx);
     std::vector<double> walls, cpus, kips;
@@ -543,6 +596,8 @@ untracedRun(const Context &ctx)
     const double start = wallNow();
     double last = 0.0;
     while (walls.empty() || wallNow() - start + last <= ctx.seconds) {
+        const int cpu =
+            ctx.threads == 1 ? pinNext(allowed, walls.size()) : -1;
         if (ctx.workload == "fig5_full")
             resetDir(cache_dir);
         PassResult p;
@@ -566,14 +621,15 @@ untracedRun(const Context &ctx)
         failed += std::min<std::uint64_t>(
             p.digests.size(),
             mismatches(p.digests, want) + p.cacheFailures);
-        std::printf("pass %zu wall_s %.6f cpu_s %.6f\n", walls.size(),
-                    p.wallS, p.cpuS);
+        std::printf("pass %zu cpu %d wall_s %.6f cpu_s %.6f\n",
+                    walls.size(), cpu, p.wallS, p.cpuS);
         walls.push_back(p.wallS);
         cpus.push_back(p.cpuS);
         kips.push_back(static_cast<double>(p.insts) / 1000.0 / p.wallS);
         last = p.wallS;
         sampled = std::move(p.sampled);
     }
+    pinTo(allowed);
     const std::uint64_t passes = walls.size();
     // Peak memory of set-up and the timed passes; the cross-check
     // below builds cores of its own and is not part of the workload.
@@ -581,18 +637,20 @@ untracedRun(const Context &ctx)
     if (!first_digests.empty())
         failed += crossCheck(ctx, first_digests, attempted);
 
-    // Host slowdowns on this class of machine are bursts that only
-    // ever add time (identical passes of one run differ by up to 50%,
-    // with no steal time and no other load), so the fastest pass is
-    // the steady estimate of a pass's cost; the median and slowest
-    // pass are printed beside it.
+    // Other tenants of the host slow single vCPUs by up to 1.7x, in
+    // bursts of tens of milliseconds whose density drifts over
+    // minutes; the same slowdown shows in process CPU time. The median
+    // pass, with passes rotated over the CPUs, moves least from run to
+    // run: the fastest pass depends on whether a run happens to catch
+    // a quiet moment. The fastest and slowest passes are printed
+    // beside it.
     std::vector<Metric> report = {
-        {"wall_s", percentile(walls, 0.0), "s"},
-        {"cpu_s", percentile(cpus, 0.0), "s"},
-        {"sim_kips", percentile(kips, 100.0), "kinst/s"},
+        {"wall_s", median(walls), "s"},
+        {"cpu_s", median(cpus), "s"},
+        {"sim_kips", median(kips), "kinst/s"},
         {"setup_s", median(setups), "s"},
         {"peak_rss_mb", rss_mb, "MB"},
-        {"wall_s_p50", median(walls), "s"},
+        {"wall_s_min", percentile(walls, 0.0), "s"},
         {"wall_s_max", percentile(walls, 100.0), "s"},
         {"passes", static_cast<double>(passes), "count"},
         {"failed_frac",
@@ -627,7 +685,7 @@ main(int argc, char **argv)
     std::set<std::string> flags;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--corrupt-reference") {
+        if (a == "--corrupt-reference" || a == "--fill-cache") {
             flags.insert(a);
         } else if (a.rfind("--", 0) == 0 && i + 1 < argc) {
             args[a] = argv[++i];
@@ -658,6 +716,10 @@ main(int argc, char **argv)
     ctx.traceOut = arg("--trace-out", "");
     ctx.ref = loadReference(arg("--reference", ""), ctx.scale, ctx.seed);
     ctx.grids = gridsFor(ctx.workload, ctx.scale, ctx.seed);
+    if (flags.count("--fill-cache")) {
+        fillCache(ctx, ctx.workDir + "/rcache");
+        return 0;
+    }
     if (flags.count("--corrupt-reference")) {
         // Self-test: one wrong recorded digest must surface as failed
         // cells.

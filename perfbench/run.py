@@ -22,11 +22,16 @@ import platform
 import shutil
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-THREADS = 2          # engine worker threads, fixed for every workload
-RUN_TIMEOUT_S = 175  # one harness process
+# Engine worker threads. End-to-end runs use one, bound to each CPU in
+# turn (see README.md); the traced run's engine pass uses two, the
+# baseline of driver.parallel_efficiency.
+THREADS = {0: 1, 1: 2}
+FILL_THREADS = 2     # warm_rerun's untimed cache fill
+RUN_TIMEOUT_S = 175  # all harness processes of one run together
 
 
 def die(msg, code=2):
@@ -99,7 +104,7 @@ def source_digest():
     return h.hexdigest()[:16]
 
 
-def fingerprint():
+def fingerprint(trace):
     """Host identity: results from different fingerprints never compare."""
     cpu = platform.processor() or "unknown"
     try:
@@ -127,46 +132,56 @@ def fingerprint():
         "nproc": len(os.sched_getaffinity(0)),
         "compiler": version or cxx,
         "build_type": cmake_cache("CMAKE_BUILD_TYPE"),
-        "threads": THREADS,
+        "threads": THREADS[trace],
         "commit": commit,
         "source_digest": source_digest(),
     }
 
 
-def run_harness(binary, args):
+def run_harness(binary, args, deadline):
     """Run the harness; returns (returncode, stdout lines)."""
     try:
         p = subprocess.run([binary] + args, stdout=subprocess.PIPE,
-                           text=True, timeout=RUN_TIMEOUT_S,
-                           env=local_env())
+                           text=True, env=local_env(),
+                           timeout=max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
         die("harness exceeded %d s" % RUN_TIMEOUT_S, 3)
     return p.returncode, p.stdout.splitlines()
 
 
-def harness_args(workload, seed, seconds, trace, scale, work):
+def run_workload(binary, workload, seed, seconds, trace, scale, work,
+                 extra=()):
+    """One run of a workload in a fresh work directory. warm_rerun's
+    result cache is filled first by a process of its own, so the
+    measured process's peak memory is that of the warm passes."""
+    deadline = time.monotonic() + RUN_TIMEOUT_S
     args = ["--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace),
-            "--scale", scale, "--threads", str(THREADS),
-            "--reference", os.path.join(HERE, "reference.json"),
-            "--work-dir", work]
-    if trace:
-        args += ["--trace-out", os.path.join(
-            out_dir("traces"), "%s-seed%d.json" % (workload, seed))]
-    return args
+            "--scale", scale, "--work-dir", work,
+            "--reference", os.path.join(HERE, "reference.json")]
+    shutil.rmtree(work, ignore_errors=True)
+    try:
+        if workload == "warm_rerun":
+            code, _ = run_harness(binary, args + [
+                "--fill-cache", "--threads", str(FILL_THREADS)], deadline)
+            if code != 0:
+                return code, []
+        args += ["--seconds", str(seconds), "--trace", str(trace),
+                 "--threads", str(THREADS[trace])]
+        if trace:
+            args += ["--trace-out", os.path.join(
+                out_dir("traces"), "%s-seed%d.json" % (workload, seed))]
+        return run_harness(binary, args + list(extra), deadline)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def measure(opts):
     binary = build()
-    fp = fingerprint()
+    fp = fingerprint(opts.trace)
     work = os.path.join(out_dir("work"), "%s-%d" % (opts.workload,
                                                     os.getpid()))
-    try:
-        code, lines = run_harness(binary, harness_args(
-            opts.workload, opts.seed, opts.seconds, opts.trace, "full",
-            work))
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
+    code, lines = run_workload(binary, opts.workload, opts.seed,
+                               opts.seconds, opts.trace, "full", work)
     if code != 0 or not lines or not lines[-1].startswith("{"):
         die("harness failed (exit %d)" % code, 1)
     result = json.loads(lines[-1])
@@ -194,11 +209,8 @@ def smoke():
 
     def run(workload, trace, extra=()):
         work = os.path.join(out_dir("work"), "smoke-%s" % workload)
-        try:
-            code, lines = run_harness(binary, harness_args(
-                workload, 0, 1, trace, "smoke", work) + list(extra))
-        finally:
-            shutil.rmtree(work, ignore_errors=True)
+        code, lines = run_workload(binary, workload, 0, 1, trace, "smoke",
+                                   work, extra)
         if code != 0 or not lines or not lines[-1].startswith("{"):
             problems.append("%s trace=%d: harness exit %d" % (workload, trace,
                                                               code))
