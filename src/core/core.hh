@@ -7,7 +7,7 @@
  * issue, rename, fetch) so that same-cycle resource reuse behaves like
  * hardware. Correct-path fetch consumes an in-order oracle (the functional
  * emulator); wrong-path fetch reads the static image and consumes real
- * resources until the misprediction flush (DESIGN.md §5).
+ * resources until the misprediction flush.
  */
 
 #ifndef PP_CORE_CORE_HH

@@ -213,12 +213,8 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     }
     record_insts += program::kTraceRecordSlack;
 
-    // Phase 1: materialize each distinct workload once — generate the
-    // binary (or load its trace artifact), predecode it, and in record
-    // mode capture + store its trace — all under one cache key
-    // (RunSpec::buildKey()), shared immutably by every run of the cell.
-    // The build set is derived from the spec list in order, so the
-    // cache layout is deterministic; the builds themselves parallelize.
+    // Distinct workloads under one cache key (RunSpec::buildKey()),
+    // first-appearance order, so the cache layout is deterministic.
     struct BuildJob
     {
         const RunSpec *spec;    ///< first spec needing this workload
@@ -239,11 +235,77 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         }
         spec_build[i] = it->second;
     }
-    binariesBuilt_ = builds.size();
     // Counters are a pure function of the spec list and options (shared
     // with the shard supervisor, which reports a merged sweep without
     // running an engine over the full list itself).
     counters_ = sweepCountersFor(specs, record);
+
+    // Result-cache probe: each cell's full semantic key (workload
+    // identity, scheme, config, sampling policy, window, schema
+    // version, salt) is looked up BEFORE any checkpoint or run job is
+    // formed, so a hit skips the cell's entire downstream cost. The
+    // cached value is the cell's exact emitter bytes; parsing it back
+    // (and re-emitting at sink time) round-trips exactly, so a fully
+    // warm sweep's document is byte-identical to the cold one. A
+    // damaged entry is a typed recoverable miss inside lookup(); an
+    // entry that no longer parses as a run is handled the same way
+    // here. Either kind of miss makes its workload build below.
+    obs::Counter &m_rc_hits =
+        obs::metrics().counter("sweep.result_cache_hits");
+    obs::Counter &m_rc_misses =
+        obs::metrics().counter("sweep.result_cache_misses");
+    obs::Counter &m_rc_stores =
+        obs::metrics().counter("sweep.result_cache_stores");
+    obs::Counter &m_rc_corrupt =
+        obs::metrics().counter("sweep.result_cache_corrupt");
+    obs::Counter &m_simulated =
+        obs::metrics().counter("sweep.runs_simulated");
+    resultCacheUse_ = ResultCacheUse{};
+    std::unique_ptr<cache::ResultCache> rcache;
+    std::vector<std::string> rkeys(specs.size());
+    std::vector<char> rhit(specs.size(), 0);
+    std::vector<sim::RunResult> rcached(specs.size());
+    if (!opts_.resultCacheDir.empty()) {
+        makeDirs(opts_.resultCacheDir, "result cache");
+        rcache.reset(new cache::ResultCache(opts_.resultCacheDir));
+    }
+    const auto probe = [&](std::size_t i, const std::string &trace_hash) {
+        rkeys[i] = cache::runKeyText(
+            specs[i], cache::workloadIdentity(specs[i], trace_hash));
+        const auto payload = rcache->lookup(rkeys[i]);
+        if (!payload)
+            return;
+        try {
+            rcached[i] = parseRunJson(*payload);
+            rhit[i] = 1;
+        } catch (const ResultParseError &e) {
+            warn("result-cache entry unusable, re-running " +
+                 specs[i].label() + ": " + e.what());
+        }
+    };
+    // Cache first: a generated workload's identity is its profile and
+    // if-conversion flag, never the built binary, so its cells are
+    // probed before anything is built. A replaying cell's identity is
+    // its trace's content hash and a recording sweep's is the recorded
+    // artifact's, so those are probed after Phase 1.
+    const auto probe_early = [&](const RunSpec &s) {
+        return rcache != nullptr && !record && s.tracePath.empty();
+    };
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (probe_early(specs[i]))
+            probe(i, std::string());
+    }
+
+    // Phase 1: materialize each workload that still has a cell to run
+    // — generate the binary (or load its trace artifact), predecode it,
+    // and in record mode capture + store its trace — shared immutably
+    // by every run of the cell. A workload whose cells all hit the
+    // result cache is never built.
+    std::vector<char> needed(builds.size(), 0);
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        needed[spec_build[i]] |= rhit[i] ? 0 : 1;
+    binariesBuilt_ = static_cast<std::size_t>(
+        std::count(needed.begin(), needed.end(), 1));
 
     // Wall time of each build job, amortized over the cell's runs as
     // their buildHostMs so the result document carries the full host-
@@ -253,6 +315,8 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     obs::Histogram &m_build_ms =
         obs::metrics().histogram("sweep.build_host_ms");
     parallelFor(builds.size(), threads, [&](std::size_t i) {
+        if (!needed[i])
+            return;
         BuildJob &b = builds[i];
         const RunSpec &s = *b.spec;
         const auto t0 = std::chrono::steady_clock::now();
@@ -315,64 +379,19 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     // Demanding the oracle-lookahead slack on top of each run window
     // makes a too-short artifact fail here, not as a stream-exhaustion
     // panic mid-sweep; recorded traces always carry this slack, so
-    // same-matrix replays pass.
+    // same-matrix replays pass. Then probe the cells whose key needed
+    // the artifact (every such workload was built: none of its cells
+    // had been probed, so none had hit).
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const RunSpec &s = specs[i];
-        if (s.tracePath.empty())
-            continue;
-        builds[spec_build[i]].trace->validate(
-            s.profile.name, s.profile.seed, s.ifConvert,
-            s.warmupInsts + s.measureInsts + program::kTraceRecordSlack);
-    }
-
-    // Result-cache probe: each cell's full semantic key (workload
-    // identity — the trace's content hash when one is attached — plus
-    // scheme, config, sampling policy, window, schema version, salt)
-    // is looked up BEFORE any checkpoint or run job is formed, so a
-    // hit skips the cell's entire downstream cost. The cached value is
-    // the cell's exact emitter bytes; parsing it back (and re-emitting
-    // at sink time) round-trips exactly, so a fully warm sweep's
-    // document is byte-identical to the cold one. Any damaged entry is
-    // a typed recoverable miss inside lookup(); an entry that parses
-    // but no longer matches the run schema is handled the same way
-    // here.
-    obs::Counter &m_rc_hits =
-        obs::metrics().counter("sweep.result_cache_hits");
-    obs::Counter &m_rc_misses =
-        obs::metrics().counter("sweep.result_cache_misses");
-    obs::Counter &m_rc_stores =
-        obs::metrics().counter("sweep.result_cache_stores");
-    obs::Counter &m_rc_corrupt =
-        obs::metrics().counter("sweep.result_cache_corrupt");
-    obs::Counter &m_simulated =
-        obs::metrics().counter("sweep.runs_simulated");
-    resultCacheUse_ = ResultCacheUse{};
-    std::unique_ptr<cache::ResultCache> rcache;
-    std::vector<std::string> rkeys(specs.size());
-    std::vector<char> rhit(specs.size(), 0);
-    std::vector<sim::RunResult> rcached(specs.size());
-    if (!opts_.resultCacheDir.empty()) {
-        makeDirs(opts_.resultCacheDir, "result cache");
-        rcache.reset(new cache::ResultCache(opts_.resultCacheDir));
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            const BuildJob &b = builds[spec_build[i]];
-            rkeys[i] = cache::runKeyText(
-                specs[i],
-                cache::workloadIdentity(
-                    specs[i],
-                    b.trace != nullptr ? b.trace->contentHashHex()
-                                       : std::string()));
-            const auto payload = rcache->lookup(rkeys[i]);
-            if (!payload)
-                continue;
-            try {
-                rcached[i] = parseRunJson(*payload);
-                rhit[i] = 1;
-            } catch (const ResultParseError &e) {
-                warn("result-cache entry unusable, re-running " +
-                     specs[i].label() + ": " + e.what());
-            }
+        const BuildJob &b = builds[spec_build[i]];
+        if (!s.tracePath.empty()) {
+            b.trace->validate(s.profile.name, s.profile.seed, s.ifConvert,
+                              s.warmupInsts + s.measureInsts +
+                                  program::kTraceRecordSlack);
         }
+        if (rcache != nullptr && !probe_early(s))
+            probe(i, b.trace->contentHashHex());
     }
 
     // Phase 1.5: one window-checkpoint set per distinct (workload,

@@ -75,11 +75,15 @@ struct SweepOptions
      * here; a hit replays the cell's exact emitter bytes instead of
      * simulating, and misses are stored after the merge — so a warm
      * rerun of the same matrix executes zero simulations yet emits a
-     * byte-identical document. Shared safely by concurrent shard
-     * workers (atomic writes). Empty: no result caching. Real cache
-     * behavior is reported via resultCacheUse() and the obs metrics
-     * (sweep.result_cache_*); the summary counters stay a pure
-     * function of the spec list.
+     * byte-identical document. run() probes generated-workload cells
+     * before building anything and builds only the workloads with a
+     * miss, so a fully warm generated sweep also skips codegen,
+     * if-conversion and decode; trace-replay and record-mode cells are
+     * keyed by their artifact and still load or build it first.
+     * Shared safely by concurrent shard workers (atomic writes).
+     * Empty: no result caching. Real cache behavior is reported via
+     * resultCacheUse() and the obs metrics (sweep.result_cache_*); the
+     * summary counters stay a pure function of the spec list.
      */
     std::string resultCacheDir;
 };
@@ -91,7 +95,10 @@ struct SweepOptions
  */
 struct SweepCounters
 {
-    /** Distinct binaries generated (== decoded programs built). */
+    /**
+     * Distinct binaries the spec list needs (== decoded programs),
+     * whether or not a warm result cache let the engine skip them.
+     */
     std::uint64_t binariesBuilt = 0;
 
     /** Distinct predecoded micro-op streams built (one per binary). */
@@ -198,7 +205,12 @@ class SweepEngine
     runReplay(const std::vector<replay::ReplayWorkloadSpec> &workloads,
               const std::vector<replay::ReplayConfig> &configs);
 
-    /** Distinct binaries generated by the last run() (cache stat). */
+    /**
+     * Workloads the last run()/runReplay() actually built or loaded
+     * (host-side; a fully warm generated-workload run() builds none).
+     * The document's binaries_built summary field is counters()'s
+     * spec-derived count instead.
+     */
     std::size_t binariesBuilt() const { return binariesBuilt_; }
 
     /** Shared binary/decode cache statistics of the last run(). */

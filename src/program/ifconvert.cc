@@ -1,5 +1,7 @@
 #include "program/ifconvert.hh"
 
+#include <algorithm>
+
 #include "common/sat_counter.hh"
 #include "program/emulator.hh"
 
@@ -19,18 +21,31 @@ profileConditionHardness(const AsmProgram &prog, const IfConvertOptions &opts)
     std::vector<std::uint64_t> evals(ncond, 0);
     std::vector<std::uint64_t> misses(ncond, 0);
 
-    for (std::uint64_t i = 0; i < opts.profileSteps; ++i) {
-        const ExecRecord rec = emu.step();
-        if (!rec.ins->isCompare() || !rec.qpVal)
-            continue;
-        const CondId id = rec.ins->condId;
-        ++evals[id];
-        if (bimodal[id].taken() != rec.condVal)
-            ++misses[id];
-        if (rec.condVal)
-            bimodal[id].increment();
-        else
-            bimodal[id].decrement();
+    // produce() emits whole basic blocks, so a batch can end past the
+    // requested count. Every record of a batch is profiled until
+    // profileSteps is reached; only the overshoot of the last batch is
+    // dropped with the ring.
+    constexpr std::uint64_t kBatchRecords = 4096;
+    ExecRing ring;
+    for (std::uint64_t left = opts.profileSteps; left > 0;) {
+        emu.produce(ring, std::min(kBatchRecords, left));
+        const std::uint64_t take =
+            std::min<std::uint64_t>(ring.size(), left);
+        for (std::uint64_t k = 0; k < take; ++k) {
+            const ExecRecord &rec = ring.at(k);
+            if (!rec.ins->isCompare() || !rec.qpVal)
+                continue;
+            const CondId id = rec.ins->condId;
+            ++evals[id];
+            if (bimodal[id].taken() != rec.condVal)
+                ++misses[id];
+            if (rec.condVal)
+                bimodal[id].increment();
+            else
+                bimodal[id].decrement();
+        }
+        left -= take;
+        ring.clear();
     }
 
     std::vector<double> rates(ncond, 0.0);

@@ -72,6 +72,11 @@ struct IfConvertStats
  * Profile each region guard of @p prog and return per-condition observed
  * misprediction rates of a 2-bit bimodal profile predictor (indexed by
  * condition id). Conditions never evaluated get rate 0.
+ *
+ * The profiling run executes on the emulator's batched decoded tier
+ * (Emulator::produce() into an ExecRing, a basic block per dispatch
+ * setup) and consumes exactly opts.profileSteps records; the rates are
+ * bit-identical to a one-record-at-a-time step() or stepLegacy() run.
  */
 std::vector<double> profileConditionHardness(const AsmProgram &prog,
                                              const IfConvertOptions &opts);

@@ -2,7 +2,7 @@
  * @file
  * Benchmark profiles: the knobs that shape a generated workload, plus the
  * 22-program synthetic SPEC2000 stand-in suite (11 "int" + 11 "fp") used by
- * every experiment. See DESIGN.md §2 for the substitution rationale.
+ * every experiment.
  */
 
 #ifndef PP_PROGRAM_SUITE_HH

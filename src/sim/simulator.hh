@@ -217,7 +217,7 @@ RunResult buildAndRun(const program::BenchmarkProfile &profile,
 /**
  * Default measurement length: REPRO_INSTRUCTIONS env var, or 1,000,000.
  * (The paper simulates 100M SPEC instructions; the synthetic workloads
- * are stationary so ~1M is representative — see DESIGN.md §2.)
+ * are stationary, so ~1M is representative.)
  */
 std::uint64_t defaultInstructions();
 

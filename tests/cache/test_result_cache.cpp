@@ -25,6 +25,7 @@
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
 #include "driver/sweep_engine.hh"
+#include "obs/metrics.hh"
 #include "program/suite.hh"
 #include "replay/predictor_replay.hh"
 
@@ -336,10 +337,18 @@ TEST(ResultCacheEngine, WarmSweepSimulatesNothingAndMatchesBytes)
         EXPECT_EQ(engine.resultCacheUse().hits, 0u);
         EXPECT_EQ(engine.resultCacheUse().simulated, specs.size());
         EXPECT_EQ(engine.resultCacheUse().stores, specs.size());
+        EXPECT_EQ(engine.binariesBuilt(), cold_counters.binariesBuilt);
     }
     {
+        obs::Counter &built =
+            obs::metrics().counter("sweep.binaries_built");
+        const std::uint64_t built_before = built.value();
         driver::SweepEngine engine(opts);
         const auto results = engine.run(specs);
+        // Cache first: every cell hit before Phase 1, so no workload
+        // was generated, if-converted or decoded.
+        EXPECT_EQ(engine.binariesBuilt(), 0u);
+        EXPECT_EQ(built.value(), built_before);
         const std::string warm_doc =
             driver::JsonSink{engine.counters()}.toString(specs, results);
         // Byte-identical WITHOUT any host_ms scrub: cached cells replay
@@ -352,6 +361,8 @@ TEST(ResultCacheEngine, WarmSweepSimulatesNothingAndMatchesBytes)
                   cold_counters.resultsCached);
         EXPECT_EQ(engine.counters().resultCacheHits,
                   cold_counters.resultCacheHits);
+        EXPECT_EQ(engine.counters().binariesBuilt,
+                  cold_counters.binariesBuilt);
     }
     // Distinct cells => distinct keys: every spec is its own result.
     EXPECT_EQ(cold_counters.resultsCached, specs.size());
@@ -373,23 +384,90 @@ TEST(ResultCacheEngine, CorruptEntryReSimulatesThatCellOnly)
         cold_doc = driver::JsonSink{engine.counters()}.toString(specs,
                                                                 results);
     }
-    // Damage one cell's entry on disk.
-    cache::ResultCache probe(opts.resultCacheDir);
-    const std::string victim = probe.objectPath(
-        cache::runKeyText(specs[2],
-                          cache::workloadIdentity(specs[2], "")));
-    ASSERT_TRUE(writeFileAtomic(victim, "torn"));
+    // Damage one cell's entry on disk, two ways: a torn envelope, which
+    // lookup() rejects, and a well-formed envelope whose payload is not
+    // a run object, which lookup() serves and parseRunJson() rejects.
+    // Both are misses the engine must see BEFORE it decides what to
+    // build, or the re-run would find no binary for its workload. Each
+    // warm run repairs the store before the next damage.
+    const std::string victim_key = keyOf(specs[2]);
+    const std::string victim =
+        cache::ResultCache(opts.resultCacheDir).objectPath(victim_key);
+    // The cache's own hit count still includes the unparsable entry:
+    // lookup() served it, only the engine rejected it.
+    const struct
+    {
+        const char *kind;
+        std::string bytes;
+        std::uint64_t hits;
+        std::uint64_t corrupt;
+    } damages[] = {
+        {"torn", "torn", specs.size() - 1, 1},
+        {"unparsable",
+         cache::ResultCache::envelopeJson(victim_key,
+                                          "{\"benchmark\":1}"),
+         specs.size(), 0},
+    };
+    for (const auto &d : damages) {
+        SCOPED_TRACE(d.kind);
+        ASSERT_TRUE(writeFileAtomic(victim, d.bytes));
+        driver::SweepEngine engine(opts);
+        const auto results = engine.run(specs);
+        const std::string warm_doc =
+            driver::JsonSink{engine.counters()}.toString(specs, results);
+        // One cell re-simulated (fresh host_ms), everything else
+        // replayed; after the scrub the documents are identical.
+        EXPECT_EQ(scrubHostMs(warm_doc), scrubHostMs(cold_doc));
+        EXPECT_EQ(engine.resultCacheUse().hits, d.hits);
+        EXPECT_EQ(engine.resultCacheUse().simulated, 1u);
+        EXPECT_EQ(engine.resultCacheUse().corrupt, d.corrupt);
+        // Only the damaged cell's workload is built.
+        EXPECT_EQ(engine.binariesBuilt(), 1u);
+    }
+}
 
-    driver::SweepEngine engine(opts);
-    const auto results = engine.run(specs);
-    const std::string warm_doc =
-        driver::JsonSink{engine.counters()}.toString(specs, results);
-    // One cell re-simulated (fresh host_ms), everything else replayed;
-    // after the scrub the documents are identical.
-    EXPECT_EQ(scrubHostMs(warm_doc), scrubHostMs(cold_doc));
-    EXPECT_EQ(engine.resultCacheUse().hits, specs.size() - 1);
-    EXPECT_EQ(engine.resultCacheUse().simulated, 1u);
-    EXPECT_EQ(engine.resultCacheUse().corrupt, 1u);
+TEST(ResultCacheEngine, ArtifactKeyedSweepsStillLoadOrBuild)
+{
+    // Trace-replay cells are keyed by the artifact's content hash and a
+    // recording sweep's cells by the recorded artifact's, so even a
+    // fully warm sweep of either kind loads or builds every workload
+    // before it probes; only the simulations are skipped.
+    driver::RunMatrix m = driver::namedGrid("smoke");
+    m.window(1000, 5000);
+    const std::vector<driver::RunSpec> specs = m.specs();
+    const std::string trace_dir = uniqueDir("traces");
+
+    driver::SweepOptions record_opts;
+    record_opts.resultCacheDir = uniqueDir("artifact-keyed");
+    record_opts.recordTraceDir = trace_dir;
+    std::string cold_doc;
+    std::size_t workloads = 0;
+    {
+        driver::SweepEngine engine(record_opts);
+        const auto results = engine.run(specs);
+        cold_doc = driver::JsonSink{engine.counters()}.toString(specs,
+                                                                results);
+        workloads = engine.counters().binariesBuilt;
+        EXPECT_EQ(engine.binariesBuilt(), workloads);
+        EXPECT_EQ(engine.resultCacheUse().simulated, specs.size());
+    }
+    {
+        driver::SweepEngine engine(record_opts);
+        engine.run(specs);
+        EXPECT_EQ(engine.binariesBuilt(), workloads);
+        EXPECT_EQ(engine.resultCacheUse().simulated, 0u);
+    }
+    std::vector<driver::RunSpec> replay_specs = specs;
+    driver::applyTraceDir(replay_specs, trace_dir);
+    driver::SweepOptions replay_opts;
+    replay_opts.resultCacheDir = record_opts.resultCacheDir;
+    driver::SweepEngine engine(replay_opts);
+    const auto results = engine.run(replay_specs);
+    EXPECT_EQ(engine.binariesBuilt(), workloads);
+    EXPECT_EQ(engine.resultCacheUse().simulated, 0u);
+    EXPECT_EQ(driver::JsonSink{engine.counters()}.toString(replay_specs,
+                                                           results),
+              cold_doc);
 }
 
 TEST(ResultCacheEngine, WarmReplaySweepEvaluatesNothing)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Integration tests asserting the paper's headline phenomena at reduced
- * scale. These are the claims DESIGN.md commits the reproduction to; the
- * bench harnesses measure them over the full suite.
+ * scale: the claims the reproduction commits to. The bench harnesses
+ * measure them over the full suite.
  */
 
 #include <gtest/gtest.h>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sat_counter.hh"
 #include "program/codegen.hh"
 #include "program/emulator.hh"
 #include "program/ifconvert.hh"
@@ -24,7 +25,76 @@ fastOpts(const BenchmarkProfile &prof)
     return o;
 }
 
+/**
+ * Reference profile: the bimodal hardness profile driven one record at
+ * a time through the legacy interpreter, for pinning the batched
+ * profileConditionHardness() against.
+ */
+std::vector<double>
+legacyHardness(const AsmProgram &prog, const IfConvertOptions &opts)
+{
+    const Program binary = prog.assemble(1 << 20, "profile");
+    Emulator emu(binary, opts.profileSeed);
+    const std::size_t ncond = binary.conditions().size();
+    std::vector<SatCounter> bimodal(ncond, SatCounter(2, 1));
+    std::vector<std::uint64_t> evals(ncond, 0);
+    std::vector<std::uint64_t> misses(ncond, 0);
+    for (std::uint64_t i = 0; i < opts.profileSteps; ++i) {
+        const ExecRecord rec = emu.stepLegacy();
+        if (!rec.ins->isCompare() || !rec.qpVal)
+            continue;
+        const CondId id = rec.ins->condId;
+        ++evals[id];
+        if (bimodal[id].taken() != rec.condVal)
+            ++misses[id];
+        if (rec.condVal)
+            bimodal[id].increment();
+        else
+            bimodal[id].decrement();
+    }
+    std::vector<double> rates(ncond, 0.0);
+    for (std::size_t c = 0; c < ncond; ++c) {
+        if (evals[c] >= opts.minEvals)
+            rates[c] = static_cast<double>(misses[c]) /
+                static_cast<double>(evals[c]);
+    }
+    return rates;
+}
+
 } // namespace
+
+TEST(IfConvert, BatchedProfileMatchesLegacyInterpreter)
+{
+    // Every suite profile at the production profile length and the
+    // seed sim::buildBinary profiles with: the batched tier must give
+    // bit-identical rates, hence bit-identical if-converted binaries.
+    for (const BenchmarkProfile &prof : spec2000Suite()) {
+        IfConvertOptions opts;
+        opts.profileSeed = prof.seed ^ 0x5eedf00dull;
+        const AsmProgram plain = CodeGenerator(prof).generate();
+        EXPECT_EQ(profileConditionHardness(plain, opts),
+                  legacyHardness(plain, opts))
+            << prof.name;
+    }
+}
+
+TEST(IfConvert, BatchedProfileDiscardsRingOvershoot)
+{
+    // Lengths that are no multiple of the batch length (1000003 is
+    // prime) end mid-batch: produce() overshoots, and the records past
+    // profileSteps must not be profiled.
+    const auto prof = profileByName("twolf");
+    const AsmProgram plain = CodeGenerator(prof).generate();
+    IfConvertOptions opts;
+    opts.profileSeed = prof.seed ^ 0x5eedf00dull;
+    opts.minEvals = 1; // every evaluated condition reports its rate
+    for (const std::uint64_t steps : {1ull, 7ull, 4097ull, 1000003ull}) {
+        opts.profileSteps = steps;
+        EXPECT_EQ(profileConditionHardness(plain, opts),
+                  legacyHardness(plain, opts))
+            << steps << " steps";
+    }
+}
 
 TEST(IfConvert, RemovesBranchesAndPredicatesBlocks)
 {
