@@ -64,7 +64,6 @@ struct BenchOptions
     std::string recordTraceDir; ///< record one trace per binary here
     std::string traceDir;       ///< replay traces from here (no codegen)
     std::uint64_t smartsPeriod = 0; ///< >0: sample every cell (smarts(N))
-    std::string checkpointDir;  ///< on-disk window-checkpoint cache
     std::string resultCacheDir; ///< content-addressed result cache
     std::string traceEventsPath;///< write a Chrome trace-event span file
     bool progress = false;      ///< live progress line on stderr
@@ -124,10 +123,6 @@ printUsage(const char *prog, const char *what, bool sweep_flags)
             " SamplingPolicy::smarts(N)\n"
             "                     (period N; checkpoint-parallel when the"
             " policy has a gap)\n"
-            "  --checkpoint-dir D cache window-checkpoint sets (pp.ckpt.v1)"
-            " in directory D\n"
-            "                     across runs and shard workers"
-            " (byte-identical results)\n"
             "  --result-cache-dir D  content-addressed result cache"
             " (pp.rcache.v1) in D:\n"
             "                     warm reruns replay exact result bytes"
@@ -296,11 +291,6 @@ parseBenchArgs(int argc, char **argv, const char *what,
             ++i;
         } else if (sweep_flags && std::strcmp(a, "--smarts") == 0) {
             opts.smartsPeriod = parseU64(a, need_value(i));
-            forward(a, need_value(i));
-            ++i;
-        } else if (sweep_flags &&
-                   std::strcmp(a, "--checkpoint-dir") == 0) {
-            opts.checkpointDir = need_value(i);
             forward(a, need_value(i));
             ++i;
         } else if (sweep_flags &&
@@ -532,8 +522,7 @@ sweepSuite(const BenchOptions &opts,
         const std::size_t end =
             opts.shardEnd == 0 ? specs.size() : opts.shardEnd;
         exec::runShardWorker(specs, begin, end, opts.threads,
-                             opts.shardOutPath, opts.checkpointDir,
-                             opts.resultCacheDir);
+                             opts.shardOutPath, opts.resultCacheDir);
         std::exit(0);
     }
 
@@ -566,7 +555,6 @@ sweepSuite(const BenchOptions &opts,
         sweep_opts.threads = opts.threads;
         sweep_opts.progress = opts.progress;
         sweep_opts.recordTraceDir = opts.recordTraceDir;
-        sweep_opts.checkpointDir = opts.checkpointDir;
         sweep_opts.resultCacheDir = opts.resultCacheDir;
         driver::SweepEngine engine(sweep_opts);
         informf("sweep: %zu runs, %zu binaries", specs.size(),
@@ -602,7 +590,7 @@ sweepSuite(const BenchOptions &opts,
  * @p matrix — whose benchmarks and configs the harness has set — and
  * emit the pp.replay.v1 sink when --json was given. Replay is a
  * predictor-tables-only tier, so the timing/sampling flags of the
- * full-sim path (--csv, --smarts, --checkpoint-dir, --shards) are
+ * full-sim path (--csv, --smarts, --shards) are
  * rejected rather than silently ignored; rerun with --full-sim to use
  * them.
  */
@@ -611,9 +599,9 @@ replaySweep(const BenchOptions &opts, replay::ReplayMatrix &matrix)
 {
     if (!opts.csvPath.empty())
         fatal("--csv needs the full-sim tier; rerun with --full-sim");
-    if (opts.smartsPeriod > 0 || !opts.checkpointDir.empty())
-        fatal("--smarts/--checkpoint-dir are sampling flags; the replay"
-              " tier has no timing windows (rerun with --full-sim)");
+    if (opts.smartsPeriod > 0)
+        fatal("--smarts is a sampling flag; the replay tier has no"
+              " timing windows (rerun with --full-sim)");
     if (opts.shards > 0 || opts.workerMode)
         fatal("--shards is not supported for replay sweeps yet");
 

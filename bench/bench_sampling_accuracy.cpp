@@ -16,13 +16,12 @@
  *    best-of-`--repeat` wall times. The contract is >=5x end-to-end.
  *
  *  - Checkpoint-parallel (--parallel-windows): the same ifcmax region
- *    swept over four scheme cells three ways — standalone serial runs
+ *    swept over four scheme cells two ways — standalone serial runs
  *    of the checkpoint tier (sampledRunCheckpointed: each cell builds
- *    and consumes its own window-checkpoint set), one SweepEngine pass
- *    fanning the detailed windows across the thread pool (one shared
- *    functional pass for all cells), and a second engine pass served
- *    from the on-disk checkpoint cache. The engine results must match
- *    the serial runs bit-for-bit (the tier's identity contract). The
+ *    and consumes its own window-checkpoint set), and one SweepEngine
+ *    pass fanning the detailed windows across the thread pool (one
+ *    shared functional pass for all cells). The engine results must
+ *    match the serial runs bit-for-bit (the tier's identity contract). The
  *    >= kCheckpointParallelSpeedupBound gate is enforced when the pool
  *    has >= 2 workers (any CI runner); on a single-hardware-thread
  *    host only the build-sharing win is measurable, so the gate there
@@ -30,7 +29,7 @@
  *
  *    bench_sampling_accuracy [--json PATH] [--check] [--repeat N]
  *                            [--speedup-insts N] [--skip-speedup]
- *                            [--parallel-windows] [--checkpoint-dir D]
+ *                            [--parallel-windows] [--threads N]
  *
  * --check exits non-zero when any accuracy cell or the speedup bound
  * fails — the CI release-perf job runs it as a regression gate.
@@ -123,9 +122,7 @@ struct ParallelWindowsResult
     std::uint64_t warmupInsts = 0;
     double serialMs = 0.0;    ///< sum of standalone serial sampled runs
     double parallelMs = 0.0;  ///< one engine pass, windows fanned out
-    double cachedMs = 0.0;    ///< second engine pass, disk-cached sets
     double speedup = 0.0;
-    double cachedSpeedup = 0.0;
     unsigned threads = 0;
     std::uint64_t schemes = 0;
     std::uint64_t windowsPerCell = 0;
@@ -223,7 +220,7 @@ runSpeedup(std::uint64_t region, unsigned repeats)
 
 ParallelWindowsResult
 runParallelWindows(std::uint64_t region, unsigned repeats,
-                   const std::string &ckpt_dir, unsigned threads)
+                   unsigned threads)
 {
     const auto profile = program::profileByName("ifcmax");
     const std::uint64_t warmup = 20000;
@@ -269,9 +266,8 @@ runParallelWindows(std::uint64_t region, unsigned repeats,
     matrix.addSampling("smarts", policy);
     const std::vector<driver::RunSpec> specs = matrix.specs();
 
-    // Parallel: one engine pass, in-memory checkpoint sharing only —
-    // all four cells ride one functional pass and the detailed windows
-    // fan out across the thread pool.
+    // Parallel: one engine pass — all four cells ride one functional
+    // pass and the detailed windows fan out across the thread pool.
     std::vector<sim::RunResult> parallel_results;
     driver::SweepCounters counters;
     driver::SweepOptions engine_opts;
@@ -297,41 +293,19 @@ runParallelWindows(std::uint64_t region, unsigned repeats,
     r.checkpointsBuilt = counters.checkpointsBuilt;
     r.checkpointCacheHits = counters.checkpointCacheHits;
 
-    // Cached: populate the on-disk checkpoint cache once (untimed),
-    // then time engine passes that load every set from disk.
-    driver::SweepOptions cached_opts = engine_opts;
-    cached_opts.checkpointDir = ckpt_dir;
-    driver::SweepEngine(cached_opts).run(specs);
-    std::vector<sim::RunResult> cached_results;
-    for (unsigned i = 0; i < repeats; ++i) {
-        driver::SweepEngine engine(cached_opts);
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::vector<sim::RunResult> res = engine.run(specs);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (r.cachedMs == 0.0 || ms < r.cachedMs)
-            r.cachedMs = ms;
-        if (cached_results.empty())
-            cached_results = res;
-        std::fprintf(stderr, ".");
-    }
-
-    // Identity contract: both engine passes must reproduce the
-    // standalone serial runs bit-for-bit — counters and derived
-    // doubles. A mismatch fails the gate regardless of speed.
+    // Identity contract: the engine pass must reproduce the standalone
+    // serial runs bit-for-bit — counters and derived doubles. A
+    // mismatch fails the gate regardless of speed.
     r.identical = true;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const sim::RunResult &want = serial[i].result;
-        for (const sim::RunResult *got :
-             {&parallel_results[i], &cached_results[i]}) {
-            for (const auto &f : core::kCoreStatsFields)
-                r.identical &= got->stats.*f.member == want.stats.*f.member;
-            r.identical &= got->ipc == want.ipc &&
-                got->mispredRatePct == want.mispredRatePct &&
-                got->measuredInsts == want.measuredInsts &&
-                got->ipcErrorBound == want.ipcErrorBound;
-        }
+        const sim::RunResult &got = parallel_results[i];
+        for (const auto &f : core::kCoreStatsFields)
+            r.identical &= got.stats.*f.member == want.stats.*f.member;
+        r.identical &= got.ipc == want.ipc &&
+            got.mispredRatePct == want.mispredRatePct &&
+            got.measuredInsts == want.measuredInsts &&
+            got.ipcErrorBound == want.ipcErrorBound;
         if (!r.identical) {
             std::fprintf(stderr,
                          "\nparallel-windows: cell %s diverges from the "
@@ -341,7 +315,6 @@ runParallelWindows(std::uint64_t region, unsigned repeats,
     }
 
     r.speedup = r.serialMs / r.parallelMs;
-    r.cachedSpeedup = r.serialMs / r.cachedMs;
     // The >= 2x bound needs real window fan-out; a single-worker pool
     // (single-hardware-thread host) can only show the shared-build win,
     // so there the gate degrades to "sharing must still pay": > 1x.
@@ -447,9 +420,7 @@ writeJson(const std::string &path, const std::vector<CellResult> &cells,
             w.field("threads", std::uint64_t(parallel->threads));
             w.field("serial_host_ms", parallel->serialMs);
             w.field("parallel_host_ms", parallel->parallelMs);
-            w.field("cached_host_ms", parallel->cachedMs);
             w.field("speedup", parallel->speedup);
-            w.field("cached_speedup", parallel->cachedSpeedup);
             w.field("speedup_bound",
                     sampling::kCheckpointParallelSpeedupBound);
             w.field("speedup_bound_enforced", parallel->boundEnforced);
@@ -471,7 +442,6 @@ int
 main(int argc, char **argv)
 {
     std::string json_path = "BENCH_sampling.json";
-    std::string ckpt_dir;
     bool check = false;
     bool skip_speedup = false;
     bool parallel_windows = false;
@@ -494,8 +464,6 @@ main(int argc, char **argv)
             skip_speedup = true;
         } else if (std::strcmp(a, "--parallel-windows") == 0) {
             parallel_windows = true;
-        } else if (std::strcmp(a, "--checkpoint-dir") == 0) {
-            ckpt_dir = need_value();
         } else if (std::strcmp(a, "--threads") == 0) {
             threads = static_cast<unsigned>(
                 bench::parseU64(a, need_value()));
@@ -521,12 +489,9 @@ main(int argc, char **argv)
                 "  --skip-speedup     accuracy grid only\n"
                 "  --parallel-windows also measure the checkpoint-"
                 "parallel tier: serial vs\n"
-                "                     thread-pooled vs disk-cached "
-                "engine passes (bit-identity\n"
-                "                     enforced, >= 2x gated)\n"
-                "  --checkpoint-dir D on-disk checkpoint cache for the "
-                "cached pass\n"
-                "                     (default <json>.ckpt)\n"
+                "                     thread-pooled engine pass "
+                "(bit-identity enforced,\n"
+                "                     >= 2x gated)\n"
                 "  --threads N        engine worker threads for the "
                 "parallel tier\n"
                 "                     (default: hardware concurrency)\n",
@@ -547,14 +512,8 @@ main(int argc, char **argv)
     if (!skip_speedup)
         speedup = runSpeedup(speedup_insts, repeats);
     ParallelWindowsResult parallel;
-    if (parallel_windows) {
-        if (ckpt_dir.empty()) {
-            ckpt_dir = json_path == "-" ? "pw_checkpoints"
-                                        : json_path + ".ckpt";
-        }
-        parallel = runParallelWindows(speedup_insts, repeats, ckpt_dir,
-                                      threads);
-    }
+    if (parallel_windows)
+        parallel = runParallelWindows(speedup_insts, repeats, threads);
     std::fprintf(stderr, "\n");
 
     const bool json_to_stdout = json_path == "-";
@@ -611,7 +570,7 @@ main(int argc, char **argv)
             "\n== checkpoint-parallel windows, ifcmax x %llu schemes, "
             "%llu insts (best of %u) ==\n"
             "serial %.1f ms -> parallel %.1f ms: %.2fx (bound %.1fx, "
-            "%u threads) — cached %.1f ms: %.2fx\n"
+            "%u threads)\n"
             "%llu windows/cell, %llu checkpoint sets built, %llu cache "
             "hits, bit-identical: %s\n"
             "parallel-windows: %s\n",
@@ -619,7 +578,6 @@ main(int argc, char **argv)
             (unsigned long long)parallel.regionInsts, repeats,
             parallel.serialMs, parallel.parallelMs, parallel.speedup,
             sampling::kCheckpointParallelSpeedupBound, parallel.threads,
-            parallel.cachedMs, parallel.cachedSpeedup,
             (unsigned long long)parallel.windowsPerCell,
             (unsigned long long)parallel.checkpointsBuilt,
             (unsigned long long)parallel.checkpointCacheHits,

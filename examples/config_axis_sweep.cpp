@@ -86,7 +86,6 @@ main(int argc, char **argv)
     sweep_opts.threads = opts.threads;
     sweep_opts.progress = opts.progress;
     sweep_opts.recordTraceDir = opts.recordTraceDir;
-    sweep_opts.checkpointDir = opts.checkpointDir;
     driver::SweepEngine engine(sweep_opts);
     bench::beginTraceEvents(opts);
     const std::vector<sim::RunResult> results = engine.run(specs);

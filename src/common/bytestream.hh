@@ -1,15 +1,14 @@
 /**
  * @file
- * Little-endian u64 byte framing shared by every serialized artifact
- * (emulator checkpoints, trace files). Everything is written as 64-bit
- * words so images are portable across hosts and trivially auditable;
- * the size overhead is irrelevant next to the payloads (register files,
- * data memory, code images).
+ * Little-endian u64 byte framing of the trace artifact
+ * (program/trace.hh). Everything is written as 64-bit words so images
+ * are portable across hosts and trivially auditable; the size overhead
+ * is irrelevant next to the payloads (code images, condition streams).
  *
- * Readers validate as they go and fatal() on malformed input: images
- * cross process and machine boundaries (distributed sampling, trace
- * artifacts), so corruption must fail the documented way — never as a
- * silent divergence or a multi-exabyte allocation.
+ * Readers validate as they go and fatal() on malformed input: traces
+ * cross process and machine boundaries, so corruption must fail the
+ * documented way — never as a silent divergence or a multi-exabyte
+ * allocation.
  */
 
 #ifndef PP_COMMON_BYTESTREAM_HH
@@ -62,8 +61,7 @@ putString(std::vector<std::uint8_t> &out, const std::string &s)
 
 /**
  * Sequential validated reader over a serialized image. @p what names
- * the artifact in panic messages ("emulator checkpoint image", "trace
- * file").
+ * the artifact in panic messages ("trace file").
  */
 struct ByteReader
 {

@@ -1,7 +1,6 @@
 #include "driver/sweep_engine.hh"
 
 #include "cache/result_cache.hh"
-#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "driver/replay_sink.hh"
 #include "driver/result_sink.hh"
@@ -398,8 +397,8 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     // region, policy) among the checkpoint-eligible sampled specs
     // (sampling/window_checkpoint.hh), so N scheme/config cells on the
     // same workload pay for one functional pass. Keyed in
-    // first-appearance order like the builds; the sets build — or load
-    // from the on-disk pp.ckpt.v1 cache — in parallel.
+    // first-appearance order like the builds; the sets build in
+    // parallel and live in memory for this run() only.
     struct CkptJob
     {
         const RunSpec *spec;  ///< first spec needing this set
@@ -427,8 +426,6 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         }
         spec_ckpt[i] = it->second;
     }
-    if (!ckpts.empty() && !opts_.checkpointDir.empty())
-        makeDirs(opts_.checkpointDir, "checkpoint");
     obs::Counter &m_ckpts =
         obs::metrics().counter("sweep.checkpoint_sets");
     parallelFor(ckpts.size(), threads, [&](std::size_t i) {
@@ -436,32 +433,11 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         const RunSpec &s = *c.spec;
         const BuildJob &b = builds[c.build];
         const auto t0 = std::chrono::steady_clock::now();
-        std::string path;
-        if (!opts_.checkpointDir.empty()) {
-            path = opts_.checkpointDir + "/" +
-                   hashHex(fnv1a(checkpointKey(s))) + ".ppckpt";
-        }
-        bool loaded = false;
-        if (!path.empty() && std::filesystem::exists(path)) {
-            // A cached set round-trips exactly (pure integer payload),
-            // so the sweep's results are byte-identical to a cold
-            // build. Corruption surfaces as a typed CheckpointError out
-            // of run(), classified by shard workers like a corrupt
-            // trace.
-            obs::ScopedSpan span(obs::tracer(), "ckpt_load", "build",
-                                 s.label());
-            c.set = sampling::WindowCheckpointSet::loadOrThrow(path);
-            loaded = true;
-        }
-        if (!loaded) {
-            const program::TraceFile *replay =
-                s.tracePath.empty() ? nullptr : b.trace.get();
-            c.set = sampling::buildWindowCheckpoints(
-                *b.binary, s.profile, s.warmupInsts, s.measureInsts,
-                s.sampling, b.decoded.get(), replay);
-            if (!path.empty())
-                c.set.store(path); // atomic: never torn by a kill
-        }
+        const program::TraceFile *replay =
+            s.tracePath.empty() ? nullptr : b.trace.get();
+        c.set = sampling::buildWindowCheckpoints(
+            *b.binary, s.profile, s.warmupInsts, s.measureInsts,
+            s.sampling, b.decoded.get(), replay);
         c.buildMs = std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0).count();
         m_ckpts.add(1);
@@ -597,19 +573,24 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
                      ": " + e.what());
             }
         }
-        const cache::ResultCacheStats st = rcache->stats();
-        resultCacheUse_.hits = st.hits;
-        resultCacheUse_.misses = st.misses;
-        resultCacheUse_.stores = st.stores;
-        resultCacheUse_.corrupt = st.corrupt;
-        m_rc_hits.add(st.hits);
-        m_rc_misses.add(st.misses);
-        m_rc_stores.add(st.stores);
-        m_rc_corrupt.add(st.corrupt);
     }
     std::uint64_t simulated = 0;
     for (std::size_t i = 0; i < specs.size(); ++i)
         simulated += rhit[i] ? 0 : 1;
+    if (rcache != nullptr) {
+        // Hits and misses count the cells served and executed, not the
+        // store's lookups: an entry lookup() returned but parseRunJson()
+        // rejected was re-simulated, so it is a miss here.
+        const cache::ResultCacheStats st = rcache->stats();
+        resultCacheUse_.hits = specs.size() - simulated;
+        resultCacheUse_.misses = simulated;
+        resultCacheUse_.stores = st.stores;
+        resultCacheUse_.corrupt = st.corrupt;
+        m_rc_hits.add(resultCacheUse_.hits);
+        m_rc_misses.add(resultCacheUse_.misses);
+        m_rc_stores.add(st.stores);
+        m_rc_corrupt.add(st.corrupt);
+    }
     resultCacheUse_.simulated = simulated;
     m_simulated.add(simulated);
     return results;
@@ -919,13 +900,14 @@ SweepEngine::runReplay(
         }
     }
     if (rcache != nullptr) {
+        // Served and evaluated cells, as in run().
         const cache::ResultCacheStats st = rcache->stats();
-        resultCacheUse_.hits = st.hits;
-        resultCacheUse_.misses = st.misses;
+        resultCacheUse_.hits = workloads.size() * configs.size() - simulated;
+        resultCacheUse_.misses = simulated;
         resultCacheUse_.stores = st.stores;
         resultCacheUse_.corrupt = st.corrupt;
-        m_rc_hits.add(st.hits);
-        m_rc_misses.add(st.misses);
+        m_rc_hits.add(resultCacheUse_.hits);
+        m_rc_misses.add(resultCacheUse_.misses);
         m_rc_stores.add(st.stores);
         m_rc_corrupt.add(st.corrupt);
     }

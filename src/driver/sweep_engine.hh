@@ -55,19 +55,6 @@ struct SweepOptions
     std::string recordTraceDir;
 
     /**
-     * On-disk cache for window-checkpoint sets (pp.ckpt.v1, see
-     * sampling/window_checkpoint.hh): each distinct (workload, region,
-     * policy) set is loaded from "<hash>.ppckpt" here when present,
-     * built and atomically stored otherwise — so repeated sweeps (and
-     * concurrent shard workers sharing the directory) skip the
-     * functional pass. Empty: in-memory caching only. Serialization
-     * round-trips exactly, so results are byte-identical either way,
-     * and the in-memory counters deliberately ignore disk hits (they
-     * stay a pure function of the spec list).
-     */
-    std::string checkpointDir;
-
-    /**
      * Content-addressed result cache (pp.rcache.v1, see
      * cache/result_cache.hh): before any run job is dispatched, each
      * cell's full semantic key (workload identity, scheme, config,
@@ -121,9 +108,9 @@ struct SweepCounters
     /**
      * Distinct window-checkpoint sets the sweep needs: one per
      * (workload, region, policy) over the checkpoint-eligible sampled
-     * specs. Like the trace counters, deliberately independent of the
-     * on-disk cache (a disk hit still counts as "built" here), so a
-     * sweep reports the same summary bytes cold or warm.
+     * specs. Like the trace counters, a pure function of the spec list
+     * (a cell served by the result cache still counts its set here), so
+     * a sweep reports the same summary bytes cold or warm.
      */
     std::uint64_t checkpointsBuilt = 0;
 

@@ -13,7 +13,6 @@
 #include "driver/sweep_engine.hh"
 #include "exec/fault.hh"
 #include "program/trace.hh"
-#include "sampling/window_checkpoint.hh"
 
 namespace pp
 {
@@ -212,7 +211,6 @@ void
 runShardWorker(const std::vector<driver::RunSpec> &specs,
                std::size_t begin, std::size_t end, unsigned threads,
                const std::string &out_path,
-               const std::string &checkpoint_dir,
                const std::string &result_cache_dir)
 {
     applyStartFault();
@@ -225,7 +223,6 @@ runShardWorker(const std::vector<driver::RunSpec> &specs,
                                              specs.begin() + end);
     driver::SweepOptions opts;
     opts.threads = threads;
-    opts.checkpointDir = checkpoint_dir;
     opts.resultCacheDir = result_cache_dir;
     driver::SweepEngine engine(opts);
     std::vector<sim::RunResult> results;
@@ -235,12 +232,6 @@ runShardWorker(const std::vector<driver::RunSpec> &specs,
         // Typed artifact failure: report it distinctly so the
         // supervisor classifies corrupt-trace, not crash.
         std::fprintf(stderr, "corrupt trace artifact: %s\n", e.what());
-        std::exit(kTraceErrorExit);
-    } catch (const sampling::CheckpointError &e) {
-        // Same classification: a corrupt cached checkpoint set is an
-        // artifact failure, not a worker crash.
-        std::fprintf(stderr, "corrupt checkpoint artifact: %s\n",
-                     e.what());
         std::exit(kTraceErrorExit);
     }
     ShardWorkerStats wstats;

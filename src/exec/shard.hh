@@ -36,9 +36,8 @@ namespace exec
 {
 
 /**
- * Exit code a worker uses for a corrupt/unloadable artifact — a trace
- * (program::TraceError) or a window-checkpoint set
- * (sampling::CheckpointError) — so the supervisor can classify
+ * Exit code a worker uses for a corrupt/unloadable trace artifact
+ * (program::TraceError), so the supervisor can classify
  * corrupt-artifact separately from a plain crash.
  */
 constexpr int kTraceErrorExit = 3;
@@ -109,19 +108,16 @@ readShardFragment(const std::string &path, std::size_t expect_begin,
  * self-exec mode: apply any armed start fault, execute specs
  * [begin, end) on @p threads, write the fragment to @p out_path
  * atomically, then apply any armed output fault. A non-empty
- * @p checkpoint_dir is passed through to the engine's on-disk
- * window-checkpoint cache, so concurrent workers share one functional
- * pass per workload; @p result_cache_dir likewise to the engine's
- * content-addressed result cache (cache/result_cache.hh), and the
- * worker's real hit/simulated counts ride in the fragment header for
- * supervisor aggregation. A TraceError or CheckpointError exits with
- * kTraceErrorExit after printing the typed message to stderr; success
- * returns normally (the caller exits 0).
+ * @p result_cache_dir is passed through to the engine's
+ * content-addressed result cache (cache/result_cache.hh), so concurrent
+ * workers share it, and the worker's real hit/simulated counts ride in
+ * the fragment header for supervisor aggregation. A TraceError exits
+ * with kTraceErrorExit after printing the typed message to stderr;
+ * success returns normally (the caller exits 0).
  */
 void runShardWorker(const std::vector<driver::RunSpec> &specs,
                     std::size_t begin, std::size_t end, unsigned threads,
                     const std::string &out_path,
-                    const std::string &checkpoint_dir = "",
                     const std::string &result_cache_dir = "");
 
 } // namespace exec

@@ -148,7 +148,7 @@ struct ConditionStream
  * Checkpoints are unified across implementations: per-condition cursor
  * plus last outcome, sparse over the conditions actually evaluated
  * (untouched conditions are still at their reset state by construction,
- * so serializing them would be pure waste — programs routinely carry
+ * so copying them would be pure waste — programs routinely carry
  * hundreds of conditions of which a window touches a fraction), plus
  * the generator RNG state (zeros under replay).
  */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/bitutils.hh"
-#include "common/bytestream.hh"
 #include "common/logging.hh"
 #include "program/trace.hh"
 
@@ -105,159 +104,6 @@ Emulator::restore(const Checkpoint &ckpt)
     numInsts = ckpt.numInsts;
     conds->restore(ckpt.conds);
     rng.setState(ckpt.rng);
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint byte serialization: versioned little-endian u64 stream on
-// the shared framing (common/bytestream.hh). Version 2: condition state
-// is sparse — one (id, cursor, last) entry per condition the execution
-// actually touched, instead of dense rows for every condition the
-// program declares (most of which a sampling window never evaluates).
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-constexpr std::uint64_t kCkptMagic = 0x70706d75636b7032ull; // "ppemuckp2"
-constexpr std::uint64_t kCkptDeltaMagic =
-    0x70706d75636b6431ull; // "ppemuckd1"
-constexpr const char *kCkptWhat = "emulator checkpoint image";
-
-/** Everything before dataMem, in image order. */
-void
-putHead(std::vector<std::uint8_t> &out, const Emulator::Checkpoint &c)
-{
-    putU64Vec(out, c.intRegs);
-    putU64Vec(out, c.fpRegs);
-    putU64(out, c.predRegs.size());
-    for (const std::uint8_t p : c.predRegs)
-        putU64(out, p);
-}
-
-void
-readHead(ByteReader &r, Emulator::Checkpoint &c)
-{
-    c.intRegs = r.u64Vec();
-    c.fpRegs = r.u64Vec();
-    c.predRegs.resize(r.length());
-    for (auto &p : c.predRegs)
-        p = static_cast<std::uint8_t>(r.u64());
-}
-
-/** Everything after dataMem, in image order. */
-void
-putTail(std::vector<std::uint8_t> &out, const Emulator::Checkpoint &c)
-{
-    putU64Vec(out, c.callStack);
-    putU64(out, c.pc);
-    putU64(out, c.numInsts);
-    putU64(out, c.conds.numConds);
-    putU64(out, c.conds.replay ? 1 : 0);
-    putU64(out, c.conds.ids.size());
-    for (std::size_t i = 0; i < c.conds.ids.size(); ++i) {
-        putU64(out, c.conds.ids[i]);
-        putU64(out, c.conds.pos[i]);
-        putU64(out, c.conds.last[i]);
-    }
-    for (const std::uint64_t w : c.conds.rng)
-        putU64(out, w);
-    for (const std::uint64_t w : c.rng)
-        putU64(out, w);
-}
-
-void
-readTail(ByteReader &r, Emulator::Checkpoint &c)
-{
-    c.callStack = r.u64Vec();
-    c.pc = r.u64();
-    c.numInsts = r.u64();
-    c.conds.numConds = static_cast<std::uint32_t>(r.u64());
-    c.conds.replay = r.u64() != 0;
-    const std::size_t touched = r.length(3);
-    c.conds.ids.resize(touched);
-    c.conds.pos.resize(touched);
-    c.conds.last.resize(touched);
-    for (std::size_t i = 0; i < touched; ++i) {
-        c.conds.ids[i] = static_cast<CondId>(r.u64());
-        c.conds.pos[i] = static_cast<std::uint32_t>(r.u64());
-        c.conds.last[i] = static_cast<std::uint8_t>(r.u64());
-    }
-    for (auto &w : c.conds.rng)
-        w = r.u64();
-    for (auto &w : c.rng)
-        w = r.u64();
-}
-
-} // namespace
-
-std::vector<std::uint8_t>
-Emulator::Checkpoint::serialize() const
-{
-    std::vector<std::uint8_t> out;
-    putU64(out, kCkptMagic);
-    putHead(out, *this);
-    putU64Vec(out, dataMem);
-    putTail(out, *this);
-    return out;
-}
-
-Emulator::Checkpoint
-Emulator::Checkpoint::deserialize(const std::vector<std::uint8_t> &bytes)
-{
-    ByteReader r{bytes, kCkptWhat};
-    panicIfNot(r.u64() == kCkptMagic,
-               "not an emulator checkpoint image (bad magic)");
-    Checkpoint c;
-    readHead(r, c);
-    c.dataMem = r.u64Vec();
-    readTail(r, c);
-    r.expectEnd();
-    return c;
-}
-
-std::vector<std::uint8_t>
-Emulator::Checkpoint::serializeDelta(const Checkpoint &base) const
-{
-    panicIfNot(base.dataMem.size() == dataMem.size(),
-               "checkpoint delta base has a different memory shape");
-    std::vector<std::uint8_t> out;
-    putU64(out, kCkptDeltaMagic);
-    putHead(out, *this);
-    std::uint64_t changed = 0;
-    for (std::size_t i = 0; i < dataMem.size(); ++i)
-        changed += dataMem[i] != base.dataMem[i] ? 1 : 0;
-    putU64(out, changed);
-    for (std::size_t i = 0; i < dataMem.size(); ++i) {
-        if (dataMem[i] != base.dataMem[i]) {
-            putU64(out, i);
-            putU64(out, dataMem[i]);
-        }
-    }
-    putTail(out, *this);
-    return out;
-}
-
-Emulator::Checkpoint
-Emulator::Checkpoint::deserializeDelta(
-    const std::vector<std::uint8_t> &bytes, const Checkpoint &base)
-{
-    ByteReader r{bytes, kCkptWhat};
-    panicIfNot(r.u64() == kCkptDeltaMagic,
-               "not an emulator checkpoint delta image (bad magic)");
-    Checkpoint c;
-    readHead(r, c);
-    c.dataMem = base.dataMem;
-    const std::size_t changed = r.length(2);
-    for (std::size_t i = 0; i < changed; ++i) {
-        const std::uint64_t idx = r.u64();
-        panicIfNot(idx < c.dataMem.size(),
-                   std::string(kCkptWhat) +
-                       " delta touches memory out of range");
-        c.dataMem[idx] = r.u64();
-    }
-    readTail(r, c);
-    r.expectEnd();
-    return c;
 }
 
 std::uint64_t

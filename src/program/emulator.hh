@@ -214,27 +214,6 @@ class Emulator
         std::uint64_t numInsts = 0;
         ConditionSource::Checkpoint conds;
         Rng::State rng{};
-
-        /** Portable little-endian byte image (versioned). */
-        std::vector<std::uint8_t> serialize() const;
-
-        /** Parse a serialize() image; fatal on malformed input. */
-        static Checkpoint deserialize(const std::vector<std::uint8_t> &bytes);
-
-        /**
-         * Delta image against @p base (an earlier checkpoint of the
-         * same execution): dataMem — by far the bulk of the state — is
-         * encoded as sparse (index, word) pairs of the words that
-         * differ from base; every other field is stored whole. A
-         * sequence of mid-program checkpoints is dominated by untouched
-         * memory, so this shrinks serialized sets by orders of
-         * magnitude. Fatal if the shapes differ from @p base.
-         */
-        std::vector<std::uint8_t> serializeDelta(const Checkpoint &base) const;
-
-        /** Parse a serializeDelta() image over the same @p base. */
-        static Checkpoint deserializeDelta(
-            const std::vector<std::uint8_t> &bytes, const Checkpoint &base);
     };
 
     /** Capture the architectural state. */

@@ -19,8 +19,8 @@
  * the unit of distribution: a remote worker needs the artifact, not the
  * generator plus a seed.
  *
- * Serialization reuses the little-endian u64 framing of the emulator
- * checkpoints (common/bytestream.hh). The header carries a magic, a
+ * Serialization uses the little-endian u64 framing of
+ * common/bytestream.hh. The header carries a magic, a
  * format version, and an FNV-1a content hash over the payload that is
  * verified on load, so a corrupt or truncated artifact fails loudly.
  */

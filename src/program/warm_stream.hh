@@ -3,7 +3,7 @@
  * Recorded functional-warming event stream.
  *
  * The warmForward() tier streams cache/predictor-relevant events into a
- * sink as it executes; this header gives that stream a serializable
+ * sink as it executes; this header gives that stream a recorded
  * form. A WarmStreamRecorder captures each event as two u64 words, so a
  * window checkpoint (sampling/window_checkpoint.hh) can carry the
  * warming horizon's events and any core can later replay them through

@@ -4,11 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 
-#include "common/atomic_io.hh"
-#include "common/bytestream.hh"
-#include "common/fnv.hh"
 #include "common/logging.hh"
 #include "core/core.hh"
 #include "obs/trace_event.hh"
@@ -21,10 +17,6 @@ namespace sampling
 
 namespace
 {
-
-constexpr std::uint64_t kCkptSetMagic = 0x31762e74706b6370ull; // "pckpt.v1"
-constexpr std::uint64_t kCkptSetVersion = 1;
-constexpr const char *kWhat = "checkpoint-set image";
 
 void
 addInto(core::CoreStats &acc, const core::CoreStats &delta)
@@ -42,169 +34,6 @@ elapsedMs(const std::chrono::steady_clock::time_point &since)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// pp.ckpt.v1 serialization (the trace.cc framing: magic, version,
-// content hash over the payload, then the payload itself).
-// ---------------------------------------------------------------------
-
-std::vector<std::uint8_t>
-WindowCheckpointSet::serialize() const
-{
-    std::vector<std::uint8_t> payload;
-    putU64(payload, regionWarmup);
-    putU64(payload, regionMeasure);
-    putU64(payload, policy.periodInsts);
-    putU64(payload, policy.warmupInsts);
-    putU64(payload, policy.measureInsts);
-    putU64(payload, policy.functionalWarming ? 1 : 0);
-    putU64(payload, policy.warmingHorizon);
-    putU64(payload, builderInsts);
-    putU64(payload, windows.size());
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-        const WindowCheckpoint &w = windows[i];
-        putU64(payload, w.warmStart);
-        putU64(payload, w.measureStart);
-        putU64(payload, w.measureEnd);
-        // The first window carries its full architectural image; each
-        // later one is a sparse dataMem delta against its predecessor
-        // (the builder pass only advances, so consecutive images differ
-        // by the words the gap actually stored to). This is what keeps
-        // .ppckpt artifacts at warm-event scale instead of one full
-        // memory image per window.
-        const std::vector<std::uint8_t> arch =
-            i == 0 ? w.arch.serialize()
-                   : w.arch.serializeDelta(windows[i - 1].arch);
-        putU64(payload, arch.size());
-        payload.insert(payload.end(), arch.begin(), arch.end());
-        putU64Vec(payload, w.warmEvents);
-    }
-
-    std::vector<std::uint8_t> out;
-    out.reserve(payload.size() + 24);
-    putU64(out, kCkptSetMagic);
-    putU64(out, kCkptSetVersion);
-    putU64(out, fnv1a(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
-}
-
-WindowCheckpointSet
-WindowCheckpointSet::deserialize(const std::vector<std::uint8_t> &bytes)
-{
-    ByteReader r{bytes, kWhat};
-    panicIfNot(r.u64() == kCkptSetMagic,
-               "not a checkpoint-set image (bad magic)");
-    panicIfNot(r.u64() == kCkptSetVersion,
-               "unsupported checkpoint-set version");
-    const std::uint64_t want_hash = r.u64();
-    panicIfNot(fnv1a(bytes.data() + r.at, bytes.size() - r.at) ==
-                   want_hash,
-               "checkpoint-set image content hash mismatch (corrupt)");
-
-    WindowCheckpointSet set;
-    set.regionWarmup = r.u64();
-    set.regionMeasure = r.u64();
-    set.policy.periodInsts = r.u64();
-    set.policy.warmupInsts = r.u64();
-    set.policy.measureInsts = r.u64();
-    set.policy.functionalWarming = r.u64() != 0;
-    set.policy.warmingHorizon = r.u64();
-    set.builderInsts = r.u64();
-    const std::size_t n = r.length(5);
-    set.windows.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        WindowCheckpoint w;
-        w.warmStart = r.u64();
-        w.measureStart = r.u64();
-        w.measureEnd = r.u64();
-        const std::uint64_t arch_len = r.u64();
-        panicIfNot(arch_len <= bytes.size() - r.at,
-                   std::string(kWhat) + " truncated");
-        const std::vector<std::uint8_t> arch(
-            bytes.begin() + static_cast<std::ptrdiff_t>(r.at),
-            bytes.begin() + static_cast<std::ptrdiff_t>(r.at + arch_len));
-        r.at += static_cast<std::size_t>(arch_len);
-        w.arch = i == 0
-            ? program::Emulator::Checkpoint::deserialize(arch)
-            : program::Emulator::Checkpoint::deserializeDelta(
-                  arch, set.windows[i - 1].arch);
-        w.warmEvents = r.u64Vec();
-        panicIfNot(w.warmEvents.size() % program::kWarmEventWords == 0,
-                   std::string(kWhat) + " has a torn warm event stream");
-        set.windows.push_back(std::move(w));
-    }
-    r.expectEnd();
-    return set;
-}
-
-void
-WindowCheckpointSet::store(const std::string &path) const
-{
-    const std::vector<std::uint8_t> bytes = serialize();
-    std::string error;
-    panicIfNot(writeFileAtomic(
-                   path,
-                   std::string(bytes.begin(), bytes.end()), &error),
-               "cannot write checkpoint set " + path + ": " + error);
-}
-
-WindowCheckpointSet
-WindowCheckpointSet::loadOrThrow(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is)
-        throw CheckpointError(CheckpointError::Kind::Io, path, 0,
-                              "cannot open");
-    const std::streamsize size = is.tellg();
-    is.seekg(0);
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    is.read(reinterpret_cast<char *>(bytes.data()), size);
-    if (!is)
-        throw CheckpointError(CheckpointError::Kind::Io, path, 0,
-                              "read error");
-
-    // Header validation mirrors deserialize() but reports recoverable
-    // typed errors; once the hash matches, structural decode can only
-    // fail on a 64-bit hash collision, which stays a panic.
-    if (bytes.size() < 24) {
-        throw CheckpointError(CheckpointError::Kind::Truncated, path,
-                              bytes.size(),
-                              "truncated header (" +
-                                  std::to_string(bytes.size()) +
-                                  " bytes)");
-    }
-    auto header_u64 = [&](std::size_t at) {
-        std::uint64_t v = 0;
-        for (std::size_t b = 0; b < 8; ++b)
-            v |= static_cast<std::uint64_t>(bytes[at + b]) << (8 * b);
-        return v;
-    };
-    if (header_u64(0) != kCkptSetMagic) {
-        throw CheckpointError(CheckpointError::Kind::BadMagic, path, 0,
-                              "not a checkpoint file (bad magic)");
-    }
-    if (header_u64(8) != kCkptSetVersion) {
-        throw CheckpointError(CheckpointError::Kind::BadVersion, path, 8,
-                              "unsupported version " +
-                                  std::to_string(header_u64(8)));
-    }
-    if (fnv1a(bytes.data() + 24, bytes.size() - 24) != header_u64(16)) {
-        throw CheckpointError(CheckpointError::Kind::HashMismatch, path,
-                              16, "content hash mismatch (corrupt image)");
-    }
-    return deserialize(bytes);
-}
-
-WindowCheckpointSet
-WindowCheckpointSet::load(const std::string &path)
-{
-    try {
-        return loadOrThrow(path);
-    } catch (const CheckpointError &e) {
-        panic(e.what());
-    }
-}
 
 // ---------------------------------------------------------------------
 // Build / run / merge

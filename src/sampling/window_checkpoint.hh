@@ -22,16 +22,14 @@
  * A WindowCheckpointSet depends only on (workload, region, policy) —
  * never on the prediction scheme or core config — so N scheme cells
  * share one functional pass (the SweepEngine caches sets beside
- * binaries/decoded programs/traces), and the set serializes to a
- * versioned pp.ckpt.v1 artifact (docs/checkpoint_format.md) for
- * cross-process and future cross-host reuse.
+ * binaries/decoded programs/traces). Sets live in memory only:
+ * rebuilding one is cheaper than loading it back from disk.
  */
 
 #ifndef PP_SAMPLING_WINDOW_CHECKPOINT_HH
 #define PP_SAMPLING_WINDOW_CHECKPOINT_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -64,43 +62,7 @@ struct WindowCheckpoint
     std::vector<std::uint64_t> warmEvents;
 };
 
-/**
- * Typed failure loading a checkpoint-set artifact: recoverable (the
- * shard supervisor classifies it), unlike the panics structural decode
- * raises on in-memory corruption.
- */
-class CheckpointError : public std::runtime_error
-{
-  public:
-    enum class Kind
-    {
-        Io,
-        Truncated,
-        BadMagic,
-        BadVersion,
-        HashMismatch,
-    };
-
-    CheckpointError(Kind kind, std::string path, std::uint64_t offset,
-                    const std::string &detail)
-        : std::runtime_error("checkpoint file " + path + ": " + detail +
-                             " (byte offset " + std::to_string(offset) +
-                             ")"),
-          kind_(kind), path_(std::move(path)), offset_(offset)
-    {
-    }
-
-    Kind kind() const { return kind_; }
-    const std::string &path() const { return path_; }
-    std::uint64_t offset() const { return offset_; }
-
-  private:
-    Kind kind_;
-    std::string path_;
-    std::uint64_t offset_;
-};
-
-/** All windows of one (workload, region, policy): the shared artifact. */
+/** All windows of one (workload, region, policy): shared by every cell. */
 struct WindowCheckpointSet
 {
     /** Region lead-in (instructions before the measurement region). */
@@ -116,26 +78,6 @@ struct WindowCheckpointSet
     std::uint64_t builderInsts = 0;
 
     std::vector<WindowCheckpoint> windows;
-
-    /** Portable little-endian pp.ckpt.v1 image (versioned + hashed). */
-    std::vector<std::uint8_t> serialize() const;
-
-    /** Parse a serialize() image; fatal on malformed input. */
-    static WindowCheckpointSet
-    deserialize(const std::vector<std::uint8_t> &bytes);
-
-    /** Atomically write serialize() to @p path (fatal on I/O error). */
-    void store(const std::string &path) const;
-
-    /**
-     * Load and validate a stored image; throws CheckpointError on I/O
-     * failure or a corrupt/foreign/truncated file (hash checked before
-     * any structural decode).
-     */
-    static WindowCheckpointSet loadOrThrow(const std::string &path);
-
-    /** As loadOrThrow(), but fatal instead of throwing (CLI tools). */
-    static WindowCheckpointSet load(const std::string &path);
 };
 
 /**

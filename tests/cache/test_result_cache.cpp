@@ -393,8 +393,9 @@ TEST(ResultCacheEngine, CorruptEntryReSimulatesThatCellOnly)
     const std::string victim_key = keyOf(specs[2]);
     const std::string victim =
         cache::ResultCache(opts.resultCacheDir).objectPath(victim_key);
-    // The cache's own hit count still includes the unparsable entry:
-    // lookup() served it, only the engine rejected it.
+    // Hits count the cells the engine served: the unparsable entry was
+    // served by lookup() but re-simulated, so it is a miss like the
+    // torn one. Only the torn entry is corrupt in the store's eyes.
     const struct
     {
         const char *kind;
@@ -406,7 +407,7 @@ TEST(ResultCacheEngine, CorruptEntryReSimulatesThatCellOnly)
         {"unparsable",
          cache::ResultCache::envelopeJson(victim_key,
                                           "{\"benchmark\":1}"),
-         specs.size(), 0},
+         specs.size() - 1, 0},
     };
     for (const auto &d : damages) {
         SCOPED_TRACE(d.kind);
@@ -419,6 +420,7 @@ TEST(ResultCacheEngine, CorruptEntryReSimulatesThatCellOnly)
         // replayed; after the scrub the documents are identical.
         EXPECT_EQ(scrubHostMs(warm_doc), scrubHostMs(cold_doc));
         EXPECT_EQ(engine.resultCacheUse().hits, d.hits);
+        EXPECT_EQ(engine.resultCacheUse().misses, 1u);
         EXPECT_EQ(engine.resultCacheUse().simulated, 1u);
         EXPECT_EQ(engine.resultCacheUse().corrupt, d.corrupt);
         // Only the damaged cell's workload is built.

@@ -129,8 +129,8 @@ TEST(DecodedReplay, ProducedBatchesMatchSteppedStream)
 
 /**
  * Checkpoint/restore round-trip through a batched boundary: block
- * batching leaves the emulator mid-block; a serialized checkpoint taken
- * there must resume the stream bit-identically.
+ * batching leaves the emulator mid-block; a checkpoint taken there must
+ * resume the stream bit-identically.
  */
 TEST(DecodedReplay, CheckpointRoundTripAtBatchedBoundary)
 {
@@ -141,9 +141,9 @@ TEST(DecodedReplay, CheckpointRoundTripAtBatchedBoundary)
     src.produce(ring, 12345); // typically stops mid-request, block-aligned
     const std::uint64_t pos = src.instCount();
 
-    const std::vector<std::uint8_t> image = src.checkpoint().serialize();
+    const Emulator::Checkpoint ckpt = src.checkpoint();
     Emulator resumed(*binary, 0xdeadbeef); // state must come from ckpt
-    resumed.restore(Emulator::Checkpoint::deserialize(image));
+    resumed.restore(ckpt);
     ASSERT_EQ(resumed.instCount(), pos);
     expectStateEqual(src, resumed, "restored");
 

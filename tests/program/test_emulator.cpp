@@ -303,7 +303,7 @@ expectRecordsEqual(const ExecRecord &a, const ExecRecord &b, int step)
 
 } // namespace
 
-TEST(EmulatorCheckpoint, SerializedRoundTripResumesBitIdentically)
+TEST(EmulatorCheckpoint, RoundTripResumesBitIdentically)
 {
     const Program bin = generatedBenchmark();
 
@@ -311,13 +311,12 @@ TEST(EmulatorCheckpoint, SerializedRoundTripResumesBitIdentically)
     Emulator ref(bin, 42);
     ref.skip(20000);
 
-    // Checkpoint a twin at the same position, through the byte image.
+    // Checkpoint a twin at the same position, then move the twin on:
+    // the checkpoint is a snapshot, not a view of the live emulator.
     Emulator src(bin, 42);
     src.skip(20000);
-    const std::vector<std::uint8_t> image =
-        src.checkpoint().serialize();
-    const Emulator::Checkpoint restored =
-        Emulator::Checkpoint::deserialize(image);
+    const Emulator::Checkpoint restored = src.checkpoint();
+    src.skip(5000);
 
     // Restore into an emulator constructed with a DIFFERENT seed: every
     // piece of state (registers, memory, condition cursors, RNG
@@ -359,8 +358,8 @@ TEST(EmulatorCheckpoint, SkipMatchesSteppedExecution)
 TEST(EmulatorCheckpoint, UntouchedConditionStreamsAreSkipped)
 {
     // Two conditions, of which execution only ever evaluates one: the
-    // serialized checkpoint must carry exactly one condition entry, not
-    // dense rows for the whole table.
+    // checkpoint must carry exactly one condition entry, not dense rows
+    // for the whole table.
     AsmProgram p;
     const CondId used = p.addCondition(ConditionSpec::loop(5));
     const CondId unused = p.addCondition(ConditionSpec::loop(7));
@@ -378,15 +377,9 @@ TEST(EmulatorCheckpoint, UntouchedConditionStreamsAreSkipped)
     ASSERT_EQ(after.conds.ids.size(), 1u);
     EXPECT_EQ(after.conds.ids[0], used);
 
-    // The sparse image round-trips and is smaller than the fresh-state
-    // image plus two dense condition rows would be: exactly one
-    // 3-word entry separates the two serializations.
-    const auto fresh_img = fresh.serialize();
-    const auto after_img = after.serialize();
-    EXPECT_EQ(after_img.size(), fresh_img.size() + 3 * 8);
-
+    // The sparse checkpoint restores the touched stream's cursor.
     Emulator resumed(bin, 99);
-    resumed.restore(Emulator::Checkpoint::deserialize(after_img));
+    resumed.restore(after);
     Emulator ref(bin, 3);
     ref.step();
     for (int i = 0; i < 2000; ++i) {
@@ -408,22 +401,6 @@ TEST(EmulatorCheckpointDeath, RestoreRejectsForeignProgram)
     const Emulator::Checkpoint ckpt = src.checkpoint();
     Emulator other(tiny, 1);
     EXPECT_DEATH(other.restore(ckpt), "different program");
-}
-
-TEST(EmulatorCheckpointDeath, DeserializeRejectsTruncatedImage)
-{
-    const Program bin = generatedBenchmark();
-    Emulator emu(bin, 1);
-    emu.skip(10);
-    std::vector<std::uint8_t> image = emu.checkpoint().serialize();
-    image.resize(image.size() / 2);
-    EXPECT_DEATH(Emulator::Checkpoint::deserialize(image), "truncated");
-}
-
-TEST(EmulatorCheckpointDeath, DeserializeRejectsBadMagic)
-{
-    std::vector<std::uint8_t> garbage(64, 0x5a);
-    EXPECT_DEATH(Emulator::Checkpoint::deserialize(garbage), "magic");
 }
 
 TEST(EmulatorDeath, RunningOffImagePanics)

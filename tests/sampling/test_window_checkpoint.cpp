@@ -2,12 +2,8 @@
  * @file
  * Contract of the checkpoint-parallel sampled tier:
  *  - the t-distribution CI correction matches the published table;
- *  - pp.ckpt.v1 images round-trip byte-exactly, and every corruption
- *    class (truncation, foreign magic, future version, bit rot, I/O)
- *    surfaces as the right typed CheckpointError before any decode;
  *  - the engine's parallel window execution is bit-identical to the
- *    standalone serial sampled path at any thread count, with or
- *    without the on-disk checkpoint cache;
+ *    standalone serial sampled path at any thread count;
  *  - the sweep summary's checkpoint counters stay a pure function of
  *    the spec list.
  */
@@ -15,8 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <regex>
 
 #include "driver/result_sink.hh"
@@ -29,7 +23,6 @@
 #include "sim/simulator.hh"
 
 using namespace pp;
-using sampling::CheckpointError;
 using sampling::WindowCheckpointSet;
 
 namespace
@@ -60,32 +53,6 @@ scrubHostMs(const std::string &json)
 {
     static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
     return std::regex_replace(json, host_ms, "\"$1\":0");
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
-
-void
-writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char *>(b.data()),
-             static_cast<std::streamsize>(b.size()));
-}
-
-CheckpointError::Kind
-loadKind(const std::string &path)
-{
-    try {
-        WindowCheckpointSet::loadOrThrow(path);
-    } catch (const CheckpointError &e) {
-        return e.kind();
-    }
-    ADD_FAILURE() << path << ": expected CheckpointError";
-    return CheckpointError::Kind::Io;
 }
 
 } // namespace
@@ -154,96 +121,6 @@ TEST(WindowCheckpoint, BuilderLaysOutGappedWindows)
     // The builder pass walks the region exactly once, to the last
     // window's warm start.
     EXPECT_EQ(set.builderInsts, set.windows.back().warmStart);
-}
-
-TEST(WindowCheckpoint, SerializeRoundTripsByteExactly)
-{
-    const WindowCheckpointSet set = buildGzipSet();
-    const std::vector<std::uint8_t> image = set.serialize();
-    const WindowCheckpointSet back =
-        WindowCheckpointSet::deserialize(image);
-
-    EXPECT_EQ(back.regionWarmup, set.regionWarmup);
-    EXPECT_EQ(back.regionMeasure, set.regionMeasure);
-    EXPECT_EQ(back.policy.periodInsts, set.policy.periodInsts);
-    EXPECT_EQ(back.policy.warmupInsts, set.policy.warmupInsts);
-    EXPECT_EQ(back.policy.measureInsts, set.policy.measureInsts);
-    EXPECT_EQ(back.policy.functionalWarming, set.policy.functionalWarming);
-    EXPECT_EQ(back.policy.warmingHorizon, set.policy.warmingHorizon);
-    EXPECT_EQ(back.builderInsts, set.builderInsts);
-    ASSERT_EQ(back.windows.size(), set.windows.size());
-    for (std::size_t i = 0; i < set.windows.size(); ++i) {
-        EXPECT_EQ(back.windows[i].warmStart, set.windows[i].warmStart);
-        EXPECT_EQ(back.windows[i].warmEvents, set.windows[i].warmEvents);
-    }
-    // Decode-then-encode reproduces the image bit-for-bit — the
-    // property the content-keyed disk cache depends on.
-    EXPECT_EQ(back.serialize(), image);
-}
-
-TEST(WindowCheckpointDeathTest, DeserializeRejectsCorruptImages)
-{
-    const WindowCheckpointSet set = buildGzipSet();
-    std::vector<std::uint8_t> image = set.serialize();
-
-    std::vector<std::uint8_t> truncated(image.begin(),
-                                        image.begin() + image.size() / 2);
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(truncated), "");
-
-    std::vector<std::uint8_t> flipped = image;
-    flipped[0] ^= 0xff;  // magic
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(flipped), "");
-
-    std::vector<std::uint8_t> trailing = image;
-    trailing.push_back(0);
-    EXPECT_DEATH(WindowCheckpointSet::deserialize(trailing), "");
-}
-
-TEST(WindowCheckpoint, LoadOrThrowClassifiesEveryCorruptionKind)
-{
-    const WindowCheckpointSet set = buildGzipSet();
-    const std::string path = tempPath("ok.ppckpt");
-    set.store(path);
-
-    // A clean store loads back with identical content.
-    const WindowCheckpointSet loaded =
-        WindowCheckpointSet::loadOrThrow(path);
-    EXPECT_EQ(loaded.serialize(), set.serialize());
-
-    EXPECT_EQ(loadKind(tempPath("missing.ppckpt")),
-              CheckpointError::Kind::Io);
-
-    const std::vector<std::uint8_t> image = set.serialize();
-
-    std::vector<std::uint8_t> tiny(image.begin(), image.begin() + 16);
-    writeBytes(tempPath("tiny.ppckpt"), tiny);
-    EXPECT_EQ(loadKind(tempPath("tiny.ppckpt")),
-              CheckpointError::Kind::Truncated);
-
-    std::vector<std::uint8_t> magic = image;
-    magic[0] ^= 0x01;
-    writeBytes(tempPath("magic.ppckpt"), magic);
-    EXPECT_EQ(loadKind(tempPath("magic.ppckpt")),
-              CheckpointError::Kind::BadMagic);
-
-    std::vector<std::uint8_t> version = image;
-    version[8] += 1;
-    writeBytes(tempPath("version.ppckpt"), version);
-    EXPECT_EQ(loadKind(tempPath("version.ppckpt")),
-              CheckpointError::Kind::BadVersion);
-
-    // Payload bit rot is caught by the hash BEFORE structural decode,
-    // including truncation past the header.
-    std::vector<std::uint8_t> rot = image;
-    rot[rot.size() / 2] ^= 0x40;
-    writeBytes(tempPath("rot.ppckpt"), rot);
-    EXPECT_EQ(loadKind(tempPath("rot.ppckpt")),
-              CheckpointError::Kind::HashMismatch);
-
-    std::vector<std::uint8_t> cut(image.begin(), image.end() - 9);
-    writeBytes(tempPath("cut.ppckpt"), cut);
-    EXPECT_EQ(loadKind(tempPath("cut.ppckpt")),
-              CheckpointError::Kind::HashMismatch);
 }
 
 TEST(WindowCheckpoint, CheckpointTierKeepsTheSerialEstimatorContract)
@@ -343,7 +220,7 @@ TEST(WindowCheckpoint, ParallelWindowsBitIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(WindowCheckpoint, EngineCountersAndDiskCacheAreDeterministic)
+TEST(WindowCheckpoint, EngineCountersMatchTheDocument)
 {
     // 1 workload x {2 schemes} x gapped policy: one checkpoint set
     // built, one cache hit — and a full (unsampled) axis contributes
@@ -361,49 +238,14 @@ TEST(WindowCheckpoint, EngineCountersAndDiskCacheAreDeterministic)
     const auto specs = m.specs();
     ASSERT_EQ(specs.size(), 4u);
 
-    driver::SweepOptions plain;
-    plain.threads = 2;
-    driver::SweepEngine mem_engine(plain);
-    const auto mem_results = mem_engine.run(specs);
-    EXPECT_EQ(mem_engine.counters().checkpointsBuilt, 1u);
-    EXPECT_EQ(mem_engine.counters().checkpointCacheHits, 1u);
-    const std::string mem_doc = scrubHostMs(
-        driver::JsonSink{mem_engine.counters()}.toString(specs,
-                                                         mem_results));
-    EXPECT_NE(mem_doc.find("\"checkpoints_built\":1"), std::string::npos);
-    EXPECT_NE(mem_doc.find("\"checkpoint_cache_hits\":1"),
-              std::string::npos);
-
-    // Cold disk run (builds + stores) and warm run (loads) both
-    // reproduce the in-memory document byte-for-byte — counters
-    // deliberately ignore disk hits so the summary is history-free.
-    driver::SweepOptions disk = plain;
-    disk.checkpointDir = testing::TempDir() + "ckpt_cache";
-    // TempDir() persists across runs and this test deliberately leaves
-    // a corrupted artifact behind — start from an empty cache.
-    std::filesystem::remove_all(disk.checkpointDir);
-    for (int pass = 0; pass < 2; ++pass) {
-        driver::SweepEngine engine(disk);
-        const auto results = engine.run(specs);
-        EXPECT_EQ(engine.counters().checkpointsBuilt, 1u);
-        EXPECT_EQ(engine.counters().checkpointCacheHits, 1u);
-        EXPECT_EQ(scrubHostMs(driver::JsonSink{engine.counters()}.toString(
-                      specs, results)),
-                  mem_doc);
-    }
-
-    // A corrupted cached artifact fails typed, not silently.
-    namespace fs = std::filesystem;
-    bool corrupted = false;
-    for (const auto &e : fs::directory_iterator(disk.checkpointDir)) {
-        std::fstream f(e.path(),
-                       std::ios::in | std::ios::out | std::ios::binary);
-        f.seekp(24);
-        const char x = 0x7f;
-        f.write(&x, 1);
-        corrupted = true;
-    }
-    ASSERT_TRUE(corrupted);
-    driver::SweepEngine bad(disk);
-    EXPECT_THROW(bad.run(specs), CheckpointError);
+    driver::SweepOptions opts;
+    opts.threads = 2;
+    driver::SweepEngine engine(opts);
+    const auto results = engine.run(specs);
+    EXPECT_EQ(engine.counters().checkpointsBuilt, 1u);
+    EXPECT_EQ(engine.counters().checkpointCacheHits, 1u);
+    const std::string doc =
+        driver::JsonSink{engine.counters()}.toString(specs, results);
+    EXPECT_NE(doc.find("\"checkpoints_built\":1"), std::string::npos);
+    EXPECT_NE(doc.find("\"checkpoint_cache_hits\":1"), std::string::npos);
 }

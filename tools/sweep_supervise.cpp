@@ -47,8 +47,6 @@ usage(const char *prog)
         " REPRO_INSTRUCTIONS or 1000000)\n"
         "  --filter REGEX     keep only benchmarks matching REGEX\n"
         "  --trace-dir D      replay workloads from the traces in D\n"
-        "  --checkpoint-dir D cache window-checkpoint sets in D (shared"
-        " across workers)\n"
         "  --result-cache-dir D  content-addressed result cache in D"
         " (shared across\n"
         "                     workers; a warm rerun simulates nothing)\n"
@@ -105,7 +103,6 @@ main(int argc, char **argv)
     std::string grid;
     std::string filter;
     std::string trace_dir;
-    std::string checkpoint_dir;
     std::string result_cache_dir;
     std::string worker;
     std::string json_path;
@@ -147,9 +144,6 @@ main(int argc, char **argv)
             ++i;
         } else if (std::strcmp(a, "--trace-dir") == 0) {
             trace_dir = need_value(i);
-            ++i;
-        } else if (std::strcmp(a, "--checkpoint-dir") == 0) {
-            checkpoint_dir = need_value(i);
             ++i;
         } else if (std::strcmp(a, "--result-cache-dir") == 0) {
             result_cache_dir = need_value(i);
@@ -225,10 +219,6 @@ main(int argc, char **argv)
     if (!trace_dir.empty()) {
         sopts.workerCmd.push_back("--trace-dir");
         sopts.workerCmd.push_back(trace_dir);
-    }
-    if (!checkpoint_dir.empty()) {
-        sopts.workerCmd.push_back("--checkpoint-dir");
-        sopts.workerCmd.push_back(checkpoint_dir);
     }
     if (!result_cache_dir.empty()) {
         sopts.workerCmd.push_back("--result-cache-dir");

@@ -42,8 +42,6 @@ usage(const char *prog)
         " REPRO_INSTRUCTIONS or 1000000)\n"
         "  --filter REGEX     keep only benchmarks matching REGEX\n"
         "  --trace-dir D      replay workloads from the traces in D\n"
-        "  --checkpoint-dir D cache window-checkpoint sets in D (shared"
-        " across workers)\n"
         "  --result-cache-dir D  content-addressed result cache in D"
         " (shared across workers)\n"
         "  --threads N        worker threads (default: hardware)\n"
@@ -74,7 +72,6 @@ main(int argc, char **argv)
     std::string grid;
     std::string filter;
     std::string trace_dir;
-    std::string checkpoint_dir;
     std::string result_cache_dir;
     std::string out_path;
     std::uint64_t warmup = sim::defaultWarmup();
@@ -108,9 +105,6 @@ main(int argc, char **argv)
             ++i;
         } else if (std::strcmp(a, "--trace-dir") == 0) {
             trace_dir = need_value(i);
-            ++i;
-        } else if (std::strcmp(a, "--checkpoint-dir") == 0) {
-            checkpoint_dir = need_value(i);
             ++i;
         } else if (std::strcmp(a, "--result-cache-dir") == 0) {
             result_cache_dir = need_value(i);
@@ -159,6 +153,6 @@ main(int argc, char **argv)
     }
 
     exec::runShardWorker(specs, begin, end, threads, out_path,
-                         checkpoint_dir, result_cache_dir);
+                         result_cache_dir);
     return 0;
 }
