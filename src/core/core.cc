@@ -1465,37 +1465,30 @@ struct OoOCore::FfWarmSink final : program::Emulator::FfSink
 void
 OoOCore::warmReplay(const std::vector<std::uint64_t> &events)
 {
-    panicIfNot(events.size() % program::kWarmEventWords == 0,
-               "malformed warm event stream (odd word count)");
     const isa::Instruction *image = program.image().data();
-    for (std::size_t i = 0; i < events.size();
-         i += program::kWarmEventWords) {
-        const std::uint64_t word = events[i];
-        const Addr addr = events[i + 1];
-        const auto kind =
-            static_cast<program::WarmEventKind>(word & 0xff);
-        const std::uint64_t flags = word >> 8;
-        switch (kind) {
+    for (const std::uint64_t word : events) {
+        const program::WarmEvent e = program::decodeWarmEvent(word);
+        switch (e.kind) {
           case program::WarmEventKind::InstLine:
-            mem.instAccess(addr, now);
+            mem.instAccess(e.addr, now);
             break;
           case program::WarmEventKind::Mem:
-            mem.dataAccess(addr, (flags & 1) != 0, now);
+            mem.dataAccess(e.addr, (e.flags & 1) != 0, now);
             break;
           case program::WarmEventKind::Branch:
-            warmBranchTables(&image[addr / isa::instBytes], addr,
-                             (flags & 1) != 0);
+            warmBranchTables(&image[e.addr / isa::instBytes], e.addr,
+                             (e.flags & 1) != 0);
             break;
           case program::WarmEventKind::Compare:
             // Re-applying the compares is idempotent on the committed
             // predicate state the resume constructor already seeded:
             // the last recorded write of each register IS the
             // checkpoint value.
-            warmCompare(&image[addr / isa::instBytes], addr,
-                        (flags & program::kWarmPd1Written) != 0,
-                        (flags & program::kWarmPd1Val) != 0,
-                        (flags & program::kWarmPd2Written) != 0,
-                        (flags & program::kWarmPd2Val) != 0, true);
+            warmCompare(&image[e.addr / isa::instBytes], e.addr,
+                        (e.flags & program::kWarmPd1Written) != 0,
+                        (e.flags & program::kWarmPd1Val) != 0,
+                        (e.flags & program::kWarmPd2Written) != 0,
+                        (e.flags & program::kWarmPd2Val) != 0, true);
             break;
           default:
             panic("malformed warm event stream (unknown kind)");

@@ -428,6 +428,13 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     }
     obs::Counter &m_ckpts =
         obs::metrics().counter("sweep.checkpoint_sets");
+    // 1-2-5 decades from 10 KB to 5 GB.
+    std::vector<double> byte_edges;
+    for (double decade = 1e4; decade < 1e10; decade *= 10)
+        for (double m : {1.0, 2.0, 5.0})
+            byte_edges.push_back(m * decade);
+    obs::Histogram &m_ckpt_bytes = obs::metrics().histogram(
+        "sweep.checkpoint_set_bytes", byte_edges);
     parallelFor(ckpts.size(), threads, [&](std::size_t i) {
         CkptJob &c = ckpts[i];
         const RunSpec &s = *c.spec;
@@ -441,6 +448,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         c.buildMs = std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0).count();
         m_ckpts.add(1);
+        m_ckpt_bytes.observe(static_cast<double>(c.set.residentBytes()));
     });
 
     // Phase 2: execute every run. Checkpoint-eligible sampled specs fan

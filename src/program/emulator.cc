@@ -67,13 +67,36 @@ Emulator::recordConditions(std::vector<ConditionStream> *streams)
 }
 
 Emulator::Checkpoint
-Emulator::checkpoint() const
+Emulator::checkpoint(const Checkpoint *base) const
 {
+    panicIfNot(base == nullptr || base->dataWords == dataMem.size(),
+               "base checkpoint is for a different program");
     Checkpoint c;
     c.intRegs = intRegs;
     c.fpRegs = fpRegs;
     c.predRegs = predRegs;
-    c.dataMem = dataMem;
+    c.dataWords = dataMem.size();
+    std::size_t b = 0; // cursor into base->pages (ascending index)
+    for (std::size_t p = 0, w = 0; w < dataMem.size();
+         ++p, w += kPageWords) {
+        const std::uint64_t *src = dataMem.data() + w;
+        const std::size_t n = std::min(kPageWords, dataMem.size() - w);
+        if (base != nullptr) {
+            while (b < base->pages.size() && base->pages[b].index < p)
+                ++b;
+            if (b < base->pages.size() && base->pages[b].index == p &&
+                std::equal(src, src + n, base->pages[b].words->data())) {
+                c.pages.push_back(base->pages[b]);
+                continue;
+            }
+        }
+        if (std::all_of(src, src + n,
+                        [](std::uint64_t v) { return v == 0; }))
+            continue;
+        auto page = std::make_shared<Page>(); // zeroed past n
+        std::copy_n(src, n, page->begin());
+        c.pages.push_back(Checkpoint::StoredPage{p, std::move(page)});
+    }
     c.callStack = callStack;
     c.pc = curPc;
     c.numInsts = numInsts;
@@ -88,7 +111,7 @@ Emulator::restore(const Checkpoint &ckpt)
     panicIfNot(ckpt.intRegs.size() == intRegs.size() &&
                ckpt.fpRegs.size() == fpRegs.size() &&
                ckpt.predRegs.size() == predRegs.size() &&
-               ckpt.dataMem.size() == dataMem.size(),
+               ckpt.dataWords == dataMem.size(),
                "emulator checkpoint is for a different program");
     panicIfNot(ckpt.pc % isa::instBytes == 0 &&
                ckpt.pc / isa::instBytes <= program.size(),
@@ -97,7 +120,15 @@ Emulator::restore(const Checkpoint &ckpt)
     fpRegs = ckpt.fpRegs;
     for (std::size_t i = 0; i < predRegs.size(); ++i)
         predRegs[i] = ckpt.predRegs[i] != 0 ? 1 : 0;
-    dataMem = ckpt.dataMem;
+    std::fill(dataMem.begin(), dataMem.end(), 0);
+    for (const Checkpoint::StoredPage &page : ckpt.pages) {
+        const std::size_t w = page.index * kPageWords;
+        panicIfNot(w < dataMem.size(),
+                   "emulator checkpoint page outside the data segment");
+        std::copy_n(page.words->data(),
+                    std::min(kPageWords, dataMem.size() - w),
+                    dataMem.begin() + w);
+    }
     callStack = ckpt.callStack;
     curPc = ckpt.pc;
     curIdx = static_cast<std::uint32_t>(curPc / isa::instBytes);

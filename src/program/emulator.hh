@@ -24,6 +24,7 @@
 #define PP_PROGRAM_EMULATOR_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <variant>
@@ -196,19 +197,42 @@ class Emulator
     void warmForward(std::uint64_t n, Sink &sink, unsigned line_shift,
                      Addr &line_state);
 
+    /** Checkpoint page size in 8-byte data words (4 KB). */
+    static constexpr std::size_t kPageWords = 512;
+
+    /**
+     * One immutable page of checkpointed data memory. A data segment
+     * smaller than a page fills a prefix; the rest stays zero.
+     */
+    using Page = std::array<std::uint64_t, kPageWords>;
+
     /**
      * Complete architectural state at one program position: registers,
      * data memory, call stack, condition-stream cursors and RNG streams.
      * Restoring it into an emulator over the same program resumes the
      * execution bit-identically, so a detailed simulation window can
      * start mid-program (see sampling/).
+     *
+     * Data memory is held sparsely, in kPageWords-word pages: all-zero
+     * pages are left out, and every stored page is immutable storage
+     * that checkpoints may share (see checkpoint()).
      */
     struct Checkpoint
     {
+        /** A stored (non-zero) data page and its index in the segment. */
+        struct StoredPage
+        {
+            std::size_t index;
+            std::shared_ptr<const Page> words;
+        };
+
         std::vector<std::uint64_t> intRegs;
         std::vector<std::uint64_t> fpRegs;
         std::vector<std::uint8_t> predRegs;
-        std::vector<std::uint64_t> dataMem;
+        /** Data-segment size in words (the shape restore() checks). */
+        std::size_t dataWords = 0;
+        /** The non-zero pages, ascending by index. */
+        std::vector<StoredPage> pages;
         std::vector<Addr> callStack;
         Addr pc = 0;
         std::uint64_t numInsts = 0;
@@ -216,12 +240,19 @@ class Emulator
         Rng::State rng{};
     };
 
-    /** Capture the architectural state. */
-    Checkpoint checkpoint() const;
+    /**
+     * Capture the architectural state. Every data page equal to
+     * @p base's page of the same index shares @p base's storage instead
+     * of being copied, so consecutive checkpoints of one run cost only
+     * the pages written in between. @p base must come from an emulator
+     * over the same program.
+     */
+    Checkpoint checkpoint(const Checkpoint *base = nullptr) const;
 
     /**
      * Restore state captured from an emulator over the same program;
      * fatal if the shapes (register/memory/condition counts) differ.
+     * Pages the checkpoint left out are zero-filled.
      */
     void restore(const Checkpoint &ckpt);
 

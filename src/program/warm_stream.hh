@@ -4,18 +4,21 @@
  *
  * The warmForward() tier streams cache/predictor-relevant events into a
  * sink as it executes; this header gives that stream a recorded
- * form. A WarmStreamRecorder captures each event as two u64 words, so a
+ * form. A WarmStreamRecorder captures each event as one u64 word, so a
  * window checkpoint (sampling/window_checkpoint.hh) can carry the
  * warming horizon's events and any core can later replay them through
  * its *own* tables (core::OoOCore::warmReplay) — the recording is
  * scheme-agnostic: it holds committed program behavior, not table
  * state.
  *
- * Encoding: word 0 = kind (low 8 bits) | event flags << 8; word 1 = the
- * event's address (fetch PC or effective data address). Taken
- * calls/returns are deliberately NOT recorded: the window core seeds
- * its return-address stack from the checkpoint's architectural call
- * stack instead (see the OoOCore resume constructor).
+ * Encoding (encodeWarmEvent/decodeWarmEvent, the one codec every
+ * recorder and consumer uses): addr << 8 | flags << 4 | kind, where
+ * addr is the event's fetch PC or effective data address. The address
+ * field is 56 bits wide; checkWarmAddressable() verifies once per
+ * binary that every code and data address fits. Taken calls/returns
+ * are deliberately NOT recorded: the window core seeds its
+ * return-address stack from the checkpoint's architectural call stack
+ * instead (see the OoOCore resume constructor).
  */
 
 #ifndef PP_PROGRAM_WARM_STREAM_HH
@@ -24,8 +27,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/instruction.hh"
+#include "program/program.hh"
 
 namespace pp
 {
@@ -41,14 +46,68 @@ enum class WarmEventKind : std::uint8_t
     Compare = 3,  ///< compare (flags: pd1_written/pd1_val/pd2_written/pd2_val)
 };
 
-/** Words per recorded event (kind+flags word, then the address). */
-constexpr std::size_t kWarmEventWords = 2;
+/** Compare-event flag bits (the 4-bit flags field). */
+constexpr unsigned kWarmPd1Written = 1u << 0;
+constexpr unsigned kWarmPd1Val = 1u << 1;
+constexpr unsigned kWarmPd2Written = 1u << 2;
+constexpr unsigned kWarmPd2Val = 1u << 3;
 
-/** Compare-event flag bits (word 0 >> 8). */
-constexpr std::uint64_t kWarmPd1Written = 1ull << 0;
-constexpr std::uint64_t kWarmPd1Val = 1ull << 1;
-constexpr std::uint64_t kWarmPd2Written = 1ull << 2;
-constexpr std::uint64_t kWarmPd2Val = 1ull << 3;
+/** Width of the address field of an encoded event. */
+constexpr unsigned kWarmAddrBits = 56;
+
+/** One decoded warming event. */
+struct WarmEvent
+{
+    WarmEventKind kind;
+    unsigned flags; ///< 4 bits; meaning per kind (see WarmEventKind)
+    Addr addr;      ///< fetch PC or effective data address
+};
+
+/**
+ * Pack one event into a word. @p addr must fit kWarmAddrBits — the
+ * recorders rely on checkWarmAddressable() having been run once for
+ * the binary instead of testing every event.
+ */
+constexpr std::uint64_t
+encodeWarmEvent(WarmEventKind kind, unsigned flags, Addr addr)
+{
+    return addr << 8 | static_cast<std::uint64_t>(flags & 0xf) << 4 |
+        static_cast<std::uint64_t>(kind);
+}
+
+/** Inverse of encodeWarmEvent(). */
+constexpr WarmEvent
+decodeWarmEvent(std::uint64_t word)
+{
+    return WarmEvent{static_cast<WarmEventKind>(word & 0xf),
+                     static_cast<unsigned>((word >> 4) & 0xf), word >> 8};
+}
+
+/**
+ * Panic unless every address @p prog can put in an event — any
+ * instruction PC and any effective data address — fits the 56-bit
+ * address field. Run once per binary before recording its stream.
+ */
+inline void
+checkWarmAddressable(const Program &prog)
+{
+    constexpr std::uint64_t limit = 1ull << kWarmAddrBits;
+    if (prog.size() > limit / isa::instBytes || prog.dataSize() > limit)
+        panic("program '" + prog.progName() +
+              "' has code or data addresses beyond the 56-bit "
+              "warm-event address field");
+}
+
+/** Compare write-back flags packed into the 4-bit flags field. */
+inline unsigned
+compareFlags(bool pd1_written, bool pd1_val, bool pd2_written,
+             bool pd2_val)
+{
+    return (pd1_written ? kWarmPd1Written : 0u) |
+        (pd1_val ? kWarmPd1Val : 0u) |
+        (pd2_written ? kWarmPd2Written : 0u) |
+        (pd2_val ? kWarmPd2Val : 0u);
+}
 
 /**
  * I-line granularity the stream is recorded at: the default 64-byte
@@ -75,20 +134,22 @@ struct WarmStreamRecorder
     void
     instLine(Addr pc)
     {
-        append(WarmEventKind::InstLine, 0, pc);
+        events.push_back(encodeWarmEvent(WarmEventKind::InstLine, 0, pc));
     }
 
     void
     memAccess(Addr addr, bool is_store)
     {
-        append(WarmEventKind::Mem, is_store ? 1 : 0, addr);
+        events.push_back(
+            encodeWarmEvent(WarmEventKind::Mem, is_store ? 1 : 0, addr));
     }
 
     void
     condBranch(const isa::Instruction *ins, Addr pc, bool taken)
     {
         (void)ins; // replay re-derives it from the image at pc
-        append(WarmEventKind::Branch, taken ? 1 : 0, pc);
+        events.push_back(
+            encodeWarmEvent(WarmEventKind::Branch, taken ? 1 : 0, pc));
     }
 
     void
@@ -96,16 +157,9 @@ struct WarmStreamRecorder
             bool pd1_val, bool pd2_written, bool pd2_val)
     {
         (void)ins;
-        std::uint64_t flags = 0;
-        if (pd1_written)
-            flags |= kWarmPd1Written;
-        if (pd1_val)
-            flags |= kWarmPd1Val;
-        if (pd2_written)
-            flags |= kWarmPd2Written;
-        if (pd2_val)
-            flags |= kWarmPd2Val;
-        append(WarmEventKind::Compare, flags, pc);
+        events.push_back(encodeWarmEvent(
+            WarmEventKind::Compare,
+            compareFlags(pd1_written, pd1_val, pd2_written, pd2_val), pc));
     }
 
     /** RAS state comes from the checkpoint's call stack, not events. */
@@ -113,14 +167,6 @@ struct WarmStreamRecorder
     void takenRet() {}
 
     std::vector<std::uint64_t> &events;
-
-  private:
-    void
-    append(WarmEventKind kind, std::uint64_t flags, Addr addr)
-    {
-        events.push_back(static_cast<std::uint64_t>(kind) | (flags << 8));
-        events.push_back(addr);
-    }
 };
 
 } // namespace program

@@ -36,10 +36,8 @@ struct PredictorStreamRecorder
     condBranch(const isa::Instruction *ins, Addr pc, bool taken)
     {
         (void)ins; // the replay pass re-derives it from the image
-        events->push_back(
-            static_cast<std::uint64_t>(program::WarmEventKind::Branch) |
-            ((taken ? 1ull : 0ull) << 8));
-        events->push_back(pc);
+        events->push_back(program::encodeWarmEvent(
+            program::WarmEventKind::Branch, taken ? 1 : 0, pc));
         ++branches;
     }
 
@@ -48,19 +46,11 @@ struct PredictorStreamRecorder
             bool pd1_val, bool pd2_written, bool pd2_val)
     {
         (void)ins;
-        std::uint64_t flags = 0;
-        if (pd1_written)
-            flags |= program::kWarmPd1Written;
-        if (pd1_val)
-            flags |= program::kWarmPd1Val;
-        if (pd2_written)
-            flags |= program::kWarmPd2Written;
-        if (pd2_val)
-            flags |= program::kWarmPd2Val;
-        events->push_back(
-            static_cast<std::uint64_t>(program::WarmEventKind::Compare) |
-            (flags << 8));
-        events->push_back(pc);
+        events->push_back(program::encodeWarmEvent(
+            program::WarmEventKind::Compare,
+            program::compareFlags(pd1_written, pd1_val, pd2_written,
+                                  pd2_val),
+            pc));
         ++compares;
     }
 
@@ -88,8 +78,7 @@ compileRegex(const std::string &pattern)
 std::uint64_t
 ReplayStream::events() const
 {
-    return (warmupEvents.size() + measureEvents.size()) /
-        program::kWarmEventWords;
+    return warmupEvents.size() + measureEvents.size();
 }
 
 ReplayStream
@@ -102,6 +91,7 @@ extractStream(const program::Program &binary,
     ReplayStream s;
     s.warmupInsts = warmup_insts;
     s.measureInsts = measure_insts;
+    program::checkWarmAddressable(binary);
 
     // Same seed as the detailed core's oracle, so the committed stream
     // here IS the committed stream a full run of this workload sees.
@@ -332,24 +322,19 @@ void
 PredictorReplay::walk(const std::vector<std::uint64_t> &events,
                       std::vector<ReplayCell> &cells, bool counting)
 {
-    panicIfNot(events.size() % program::kWarmEventWords == 0,
-               "malformed replay event stream (odd word count)");
     const isa::Instruction *image = binary_.image().data();
-    const std::size_t n = events.size();
-    for (std::size_t i = 0; i < n; i += program::kWarmEventWords) {
+    for (const std::uint64_t word : events) {
         // Land the predicate writes whose commit→fetch window expired.
         while (!pending_.empty() && pending_.front().applyAt <= eventIdx_) {
             stalePred_[pending_.front().reg] = pending_.front().val;
             pending_.pop_front();
         }
         ++eventIdx_;
-        const std::uint64_t word = events[i];
-        const Addr addr = events[i + 1];
-        const auto kind =
-            static_cast<program::WarmEventKind>(word & 0xff);
-        const std::uint64_t flags = word >> 8;
+        const program::WarmEvent e = program::decodeWarmEvent(word);
+        const Addr addr = e.addr;
+        const unsigned flags = e.flags;
         const isa::Instruction *ins = &image[addr / isa::instBytes];
-        switch (kind) {
+        switch (e.kind) {
           case program::WarmEventKind::Branch: {
             const bool taken = (flags & 1) != 0;
             // Config-independent shared state: the fetch-time (stale)

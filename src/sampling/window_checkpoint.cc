@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <unordered_set>
 
 #include "common/logging.hh"
 #include "core/core.hh"
@@ -35,6 +36,21 @@ elapsedMs(const std::chrono::steady_clock::time_point &since)
 
 } // namespace
 
+std::size_t
+WindowCheckpointSet::residentBytes() const
+{
+    std::size_t bytes = 0;
+    std::unordered_set<const program::Emulator::Page *> pages;
+    for (const WindowCheckpoint &w : windows) {
+        bytes += w.warmEvents.size() * sizeof(std::uint64_t);
+        for (const auto &page : w.arch.pages) {
+            if (pages.insert(page.words.get()).second)
+                bytes += sizeof(program::Emulator::Page);
+        }
+    }
+    return bytes;
+}
+
 // ---------------------------------------------------------------------
 // Build / run / merge
 // ---------------------------------------------------------------------
@@ -59,6 +75,7 @@ buildWindowCheckpoints(const program::Program &binary,
     set.regionMeasure = measure_insts;
     set.policy = policy;
 
+    program::checkWarmAddressable(binary);
     program::Emulator emu(binary, decoded, sim::coreSeed(profile),
                           trace);
     const std::uint64_t region_start = warmup_insts;
@@ -67,6 +84,9 @@ buildWindowCheckpoints(const program::Program &binary,
     // One monotonic functional pass: with a gapped policy, consecutive
     // warm starts strictly increase, so the emulator never rewinds.
     std::uint64_t pos = 0;
+    // One growing buffer records every horizon; each window keeps an
+    // exactly sized copy.
+    std::vector<std::uint64_t> events;
     for (std::uint64_t s = region_start; s < region_end;
          s += policy.periodInsts) {
         WindowCheckpoint w;
@@ -88,12 +108,16 @@ buildWindowCheckpoints(const program::Program &binary,
         if (warm_begin > pos)
             emu.skip(warm_begin - pos);
         if (w.warmStart > warm_begin) {
-            program::WarmStreamRecorder rec(w.warmEvents);
+            events.clear();
+            program::WarmStreamRecorder rec(events);
             Addr line = ~0ull;
             emu.warmForward(w.warmStart - warm_begin, rec,
                             program::kWarmLineShift, line);
+            w.warmEvents.assign(events.begin(), events.end());
         }
-        w.arch = emu.checkpoint();
+        // Pages unchanged since the previous window share its storage.
+        w.arch = emu.checkpoint(
+            set.windows.empty() ? nullptr : &set.windows.back().arch);
         pos = w.warmStart;
         set.windows.push_back(std::move(w));
     }

@@ -8,11 +8,14 @@
  * pass over the region emits, at each window's warm-start, a
  * WindowCheckpoint — the emulator's architectural checkpoint plus the
  * recorded warming event stream of the horizon leading up to it
- * (program/warm_stream.hh). A window job restores the checkpoint into a
- * fresh core, replays the warming through that core's own tables
- * (scheme-agnostic: the stream holds committed behavior, not table
- * state), runs the detailed warmup+measure, and returns its stats
- * delta. Merging the deltas in window order reproduces the serial
+ * (program/warm_stream.hh, one u64 per event). The checkpoints hold
+ * data memory sparsely: all-zero pages are left out, and each window
+ * shares every page it did not write with the window before it, so a
+ * set costs about the memory its windows actually touch. A window job
+ * restores the checkpoint into a fresh core, replays the warming
+ * through that core's own tables (scheme-agnostic: the stream holds
+ * committed behavior, not table state), runs the detailed
+ * warmup+measure, and returns its stats delta. Merging the deltas in window order reproduces the serial
  * checkpoint tier (sampledRunCheckpointed()) bit-for-bit, so the
  * parallel execution in the sweep engine is identical by construction
  * at any thread count. The tier is a deliberate estimator change from
@@ -55,7 +58,11 @@ struct WindowCheckpoint
     /** Absolute index one past the last measured instruction. */
     std::uint64_t measureEnd = 0;
 
-    /** Emulator architectural state at warmStart. */
+    /**
+     * Emulator architectural state at warmStart; its data pages may be
+     * shared with the neighbouring windows' (read-only, from any
+     * thread).
+     */
     program::Emulator::Checkpoint arch;
 
     /** Warming events of [warmBegin, warmStart) — see warm_stream.hh. */
@@ -78,6 +85,13 @@ struct WindowCheckpointSet
     std::uint64_t builderInsts = 0;
 
     std::vector<WindowCheckpoint> windows;
+
+    /**
+     * Deterministic footprint: recorded event words plus the storage of
+     * every distinct data page, a page shared by several windows
+     * counted once.
+     */
+    std::size_t residentBytes() const;
 };
 
 /**

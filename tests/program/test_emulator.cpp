@@ -341,6 +341,94 @@ TEST(EmulatorCheckpoint, RoundTripResumesBitIdentically)
         ASSERT_EQ(resumed.predReg(r), ref.predReg(r)) << "p" << int(r);
 }
 
+namespace
+{
+
+/** Pages stored in @p a and @p b hold the same indices and words. */
+void
+expectSameMemory(const Emulator::Checkpoint &a,
+                 const Emulator::Checkpoint &b)
+{
+    ASSERT_EQ(a.dataWords, b.dataWords);
+    ASSERT_EQ(a.pages.size(), b.pages.size());
+    for (std::size_t i = 0; i < a.pages.size(); ++i) {
+        ASSERT_EQ(a.pages[i].index, b.pages[i].index) << "page " << i;
+        ASSERT_EQ(*a.pages[i].words, *b.pages[i].words)
+            << "page " << a.pages[i].index;
+    }
+}
+
+} // namespace
+
+TEST(EmulatorCheckpoint, RestoreIntoDirtyEmulatorResumesBitIdentically)
+{
+    const Program bin = generatedBenchmark();
+    Emulator ref(bin, 42);
+    ref.skip(20000);
+    const Emulator::Checkpoint ckpt = ref.checkpoint();
+
+    // The target has run further and written pages the checkpoint does
+    // not store: restore must zero them, not keep the stale words.
+    Emulator resumed(bin, 42);
+    resumed.skip(200000);
+    ASSERT_GT(resumed.checkpoint().pages.size(), ckpt.pages.size());
+    resumed.restore(ckpt);
+    expectSameMemory(resumed.checkpoint(), ckpt);
+
+    for (int i = 0; i < 20000; ++i) {
+        const ExecRecord ra = ref.step();
+        const ExecRecord rb = resumed.step();
+        expectRecordsEqual(ra, rb, i);
+    }
+    expectSameMemory(resumed.checkpoint(), ref.checkpoint());
+}
+
+TEST(EmulatorCheckpoint, SubPageDataSegmentRoundTrips)
+{
+    // A 1 KB data segment is a fraction of one checkpoint page; the
+    // generated code's addresses wrap into it.
+    const BenchmarkProfile profile = profileByName("gzip");
+    const Program bin =
+        CodeGenerator(profile).generate().assemble(1024, "tiny-data");
+
+    Emulator src(bin, 5);
+    src.skip(30000);
+    const Emulator::Checkpoint ckpt = src.checkpoint();
+    EXPECT_EQ(ckpt.dataWords, 128u);
+    ASSERT_EQ(ckpt.pages.size(), 1u);
+    EXPECT_EQ(ckpt.pages[0].index, 0u);
+    for (std::size_t w = 128; w < Emulator::kPageWords; ++w)
+        ASSERT_EQ((*ckpt.pages[0].words)[w], 0u) << "word " << w;
+
+    Emulator resumed(bin, 77);
+    resumed.skip(1000);
+    resumed.restore(ckpt);
+    expectSameMemory(resumed.checkpoint(), ckpt);
+    for (int i = 0; i < 20000; ++i) {
+        const ExecRecord ra = src.step();
+        const ExecRecord rb = resumed.step();
+        expectRecordsEqual(ra, rb, i);
+    }
+    expectSameMemory(resumed.checkpoint(), src.checkpoint());
+}
+
+TEST(EmulatorCheckpoint, BaseSharesUnchangedPages)
+{
+    const Program bin = generatedBenchmark();
+    Emulator emu(bin, 9);
+    emu.skip(20000);
+    const Emulator::Checkpoint first = emu.checkpoint();
+    // No execution in between: every page is shared, none copied.
+    const Emulator::Checkpoint same = emu.checkpoint(&first);
+    ASSERT_EQ(same.pages.size(), first.pages.size());
+    for (std::size_t i = 0; i < same.pages.size(); ++i)
+        EXPECT_EQ(same.pages[i].words, first.pages[i].words);
+
+    // Sharing never changes what the checkpoint holds.
+    emu.skip(20000);
+    expectSameMemory(emu.checkpoint(&first), emu.checkpoint());
+}
+
 TEST(EmulatorCheckpoint, SkipMatchesSteppedExecution)
 {
     const Program bin = generatedBenchmark();

@@ -5,17 +5,22 @@
  *  - the engine's parallel window execution is bit-identical to the
  *    standalone serial sampled path at any thread count;
  *  - the sweep summary's checkpoint counters stay a pure function of
- *    the spec list.
+ *    the spec list;
+ *  - checkpoint sets store only non-zero pages, share unchanged pages
+ *    between consecutive windows, and stay within a footprint bound.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <regex>
+#include <set>
 
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
 #include "driver/sweep_engine.hh"
+#include "obs/metrics.hh"
 #include "program/warm_stream.hh"
 #include "sampling/accuracy_contract.hh"
 #include "sampling/sampled_simulator.hh"
@@ -37,6 +42,35 @@ gappedPolicy()
     p.warmupInsts = 1000;
     p.measureInsts = 1000;
     return p;
+}
+
+/** @p e decodes to a known kind, legal flags and an in-binary address. */
+void
+expectWellFormed(const program::WarmEvent &e, const program::Program &bin)
+{
+    const Addr code_end = bin.size() * isa::instBytes;
+    switch (e.kind) {
+      case program::WarmEventKind::InstLine:
+        EXPECT_EQ(e.flags, 0u);
+        EXPECT_LT(e.addr, code_end);
+        break;
+      case program::WarmEventKind::Mem:
+        EXPECT_LE(e.flags, 1u);
+        EXPECT_LT(e.addr, bin.dataSize());
+        EXPECT_EQ(e.addr % 8, 0u);
+        break;
+      case program::WarmEventKind::Branch:
+        EXPECT_LE(e.flags, 1u);
+        EXPECT_LT(e.addr, code_end);
+        EXPECT_TRUE(bin.at(e.addr)->isBranch());
+        break;
+      case program::WarmEventKind::Compare:
+        EXPECT_LT(e.addr, code_end);
+        EXPECT_TRUE(bin.at(e.addr)->isCompare());
+        break;
+      default:
+        ADD_FAILURE() << "unknown event kind " << int(e.kind);
+    }
 }
 
 WindowCheckpointSet
@@ -99,6 +133,8 @@ TEST(SamplingPolicy, WindowCountValidationGuardsSparseRegions)
 
 TEST(WindowCheckpoint, BuilderLaysOutGappedWindows)
 {
+    const auto profile = program::profileByName("gzip");
+    const program::Program binary = sim::buildBinary(profile, true);
     const WindowCheckpointSet set = buildGzipSet();
     ASSERT_EQ(set.windows.size(), 5u);  // ceil(20000 / 4000)
     EXPECT_EQ(set.regionWarmup, 5000u);
@@ -115,12 +151,75 @@ TEST(WindowCheckpoint, BuilderLaysOutGappedWindows)
         // The checkpoint sits exactly at the warm start and carries a
         // well-formed warming stream for the horizon before it.
         EXPECT_EQ(w.arch.numInsts, w.warmStart);
-        EXPECT_EQ(w.warmEvents.size() % program::kWarmEventWords, 0u);
         EXPECT_FALSE(w.warmEvents.empty());
+        for (const std::uint64_t word : w.warmEvents)
+            expectWellFormed(program::decodeWarmEvent(word), binary);
     }
     // The builder pass walks the region exactly once, to the last
     // window's warm start.
     EXPECT_EQ(set.builderInsts, set.windows.back().warmStart);
+}
+
+TEST(WindowCheckpoint, PagesAreNonZeroAndSharedWithThePreviousWindow)
+{
+    const WindowCheckpointSet set = buildGzipSet();
+    using Page = program::Emulator::Page;
+    std::size_t shared = 0;
+    for (std::size_t i = 0; i < set.windows.size(); ++i) {
+        const auto &pages = set.windows[i].arch.pages;
+        ASSERT_FALSE(pages.empty());
+        for (const auto &page : pages) {
+            EXPECT_TRUE(std::any_of(page.words->begin(), page.words->end(),
+                                    [](std::uint64_t v) { return v != 0; }))
+                << "window " << i << " stores all-zero page "
+                << page.index;
+            if (i == 0)
+                continue;
+            // An equal page of the previous window is the same storage.
+            for (const auto &prev : set.windows[i - 1].arch.pages) {
+                if (prev.index != page.index)
+                    continue;
+                if (*prev.words == *page.words) {
+                    EXPECT_EQ(prev.words.get(), page.words.get())
+                        << "window " << i << " copied page " << page.index;
+                    ++shared;
+                } else {
+                    EXPECT_NE(prev.words.get(), page.words.get());
+                }
+            }
+        }
+    }
+    EXPECT_GT(shared, 0u);
+
+    // The footprint counts every distinct page once, plus event words.
+    std::size_t events = 0;
+    std::set<const Page *> distinct;
+    for (const auto &w : set.windows) {
+        events += w.warmEvents.size();
+        for (const auto &page : w.arch.pages)
+            distinct.insert(page.words.get());
+    }
+    EXPECT_EQ(set.residentBytes(),
+              events * sizeof(std::uint64_t) +
+                  distinct.size() * sizeof(Page));
+}
+
+TEST(WindowCheckpoint, SmartsSetFootprintIsBounded)
+{
+    // The gzip cell of the selective-predication sampled sweep: the
+    // smarts() policy over a 2M-instruction region after a 50k lead-in
+    // (8 windows). Measured at 4,617,136 bytes: 327,798 one-word
+    // events plus 487 distinct 4 KB pages. The flat per-window copy of
+    // the 4 MB data segment with two-word events cost 38.8 MB. The
+    // bound leaves 25% headroom; reverting either the page sharing
+    // (1,789 stored pages) or the one-word events overshoots it.
+    const auto profile = program::profileByName("gzip");
+    const program::Program binary = sim::buildBinary(profile, true);
+    const WindowCheckpointSet set = sampling::buildWindowCheckpoints(
+        binary, profile, 50000, 2000000,
+        sampling::SamplingPolicy::smarts());
+    ASSERT_EQ(set.windows.size(), 8u);
+    EXPECT_LE(set.residentBytes(), 4617136u * 5 / 4);
 }
 
 TEST(WindowCheckpoint, CheckpointTierKeepsTheSerialEstimatorContract)
@@ -241,8 +340,21 @@ TEST(WindowCheckpoint, EngineCountersMatchTheDocument)
     driver::SweepOptions opts;
     opts.threads = 2;
     driver::SweepEngine engine(opts);
+    obs::metrics().reset();
     const auto results = engine.run(specs);
     EXPECT_EQ(engine.counters().checkpointsBuilt, 1u);
+
+    // The one set's footprint lands in the byte histogram.
+    const obs::MetricSnapshot snap = obs::metrics().snapshot();
+    const auto it = std::find_if(
+        snap.entries.begin(), snap.entries.end(), [](const auto &e) {
+            return e.name == "sweep.checkpoint_set_bytes";
+        });
+    ASSERT_NE(it, snap.entries.end());
+    EXPECT_EQ(it->kind, obs::MetricEntry::Kind::Histogram);
+    EXPECT_EQ(it->count, 1u);
+    EXPECT_EQ(it->value,
+              static_cast<double>(buildGzipSet().residentBytes()));
     EXPECT_EQ(engine.counters().checkpointCacheHits, 1u);
     const std::string doc =
         driver::JsonSink{engine.counters()}.toString(specs, results);
