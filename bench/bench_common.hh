@@ -368,16 +368,6 @@ parseBenchArgs(int argc, char **argv, const char *what,
     return opts;
 }
 
-/**
- * Point every spec at its trace artifact under @p dir (the engine's
- * record-mode naming: "<binaryKey>.pptrace"), switching the sweep to
- * replay. No-op when @p dir is empty.
- */
-inline void
-applyTraceDir(std::vector<driver::RunSpec> &specs, const std::string &dir)
-{
-    driver::applyTraceDir(specs, dir);
-}
 
 /**
  * Where the human-readable report goes: stdout normally, stderr when a
@@ -512,7 +502,7 @@ sweepSuite(const BenchOptions &opts,
     std::vector<driver::RunSpec> specs = matrix.specs();
     if (specs.empty())
         fatal("sweep is empty (filter matched no benchmarks?)");
-    bench::applyTraceDir(specs, opts.traceDir);
+    sim::applyTraceDir(specs, opts.traceDir);
 
     // Worker mode: this process is a supervisor's self-exec'd child.
     // Execute the assigned spec range, write the fragment, and exit
@@ -613,7 +603,7 @@ replaySweep(const BenchOptions &opts, replay::ReplayMatrix &matrix)
         fatal("replay sweep is empty (filter matched no benchmarks?)");
     if (matrix.configs().empty())
         fatal("replay sweep has no predictor configs");
-    replay::applyReplayTraceDir(workloads, opts.traceDir);
+    sim::applyTraceDir(workloads, opts.traceDir);
 
     driver::SweepOptions sweep_opts;
     sweep_opts.threads = opts.threads;

@@ -48,7 +48,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,15 +90,6 @@ wallMs(const std::chrono::steady_clock::time_point &t0)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** Zero the wall-time-only fields (steal/static comparison only; the
- *  warm/cold contract is deliberately unscrubbed). */
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex re("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, re, "\"$1\":0");
 }
 
 /**
@@ -309,7 +299,9 @@ runStealStatic(const std::string &self, std::uint64_t warmup,
                 best_ms = ms;
             std::fprintf(stderr, ".");
         }
-        return scrubHostMs(
+        // Scrubbed for the steal/static comparison only; the warm/cold
+        // contract is deliberately unscrubbed.
+        return driver::scrubHostMs(
             driver::JsonSink{driver::sweepCountersFor(specs, false)}
                 .toString(specs, results));
     };

@@ -81,7 +81,7 @@ main(int argc, char **argv)
     matrix.addSampling("smarts", sampling::SamplingPolicy::smarts());
 
     std::vector<driver::RunSpec> specs = matrix.specs();
-    bench::applyTraceDir(specs, opts.traceDir);
+    sim::applyTraceDir(specs, opts.traceDir);
     driver::SweepOptions sweep_opts;
     sweep_opts.threads = opts.threads;
     sweep_opts.progress = opts.progress;

@@ -163,23 +163,13 @@ profileKeyText(const program::BenchmarkProfile &p)
 }
 
 std::string
-workloadIdentity(const driver::RunSpec &spec,
+workloadIdentity(const sim::Workload &workload,
                  const std::string &trace_hash)
 {
     if (!trace_hash.empty())
         return "trace:" + trace_hash;
-    return "profile:{" + profileKeyText(spec.profile) +
-           "},ifc=" + (spec.ifConvert ? "1" : "0");
-}
-
-std::string
-workloadIdentity(const replay::ReplayWorkloadSpec &spec,
-                 const std::string &trace_hash)
-{
-    if (!trace_hash.empty())
-        return "trace:" + trace_hash;
-    return "profile:{" + profileKeyText(spec.profile) +
-           "},ifc=" + (spec.ifConvert ? "1" : "0");
+    return "profile:{" + profileKeyText(workload.profile) +
+           "},ifc=" + (workload.ifConvert ? "1" : "0");
 }
 
 std::string

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <regex>
 #include <sstream>
 
 #include "common/atomic_io.hh"
@@ -244,14 +245,14 @@ writeRunJson(JsonWriter &w, const RunSpec &s, const sim::RunResult &r)
     if (!r.traceHash.empty())
         w.field("trace_hash", r.traceHash);
     // Host wall time: nondeterministic by design — byte-identity
-    // consumers must scrub it, the breakdown below, and the
-    // summary's total_host_ms (the shared pattern is any key ending
-    // in "host_ms"; see test_sweep_engine.cpp / the CI determinism
-    // smoke).
+    // consumers scrub it, the breakdown below, and the summary's
+    // total_host_ms (scrubHostMs()).
     w.field("host_ms", r.hostMs);
-    // Where host_ms went: cell build cost amortized over the cell's
-    // runs, fast-forward (skip + warm tiers, sampled runs only) and
-    // detailed cycle-by-cycle windows.
+    // Where host_ms went: this run's share of its workload's build
+    // (each build divided among the executed runs that consumed it),
+    // fast-forward (skip + warm tiers and its share of a shared
+    // checkpoint set, sampled runs only) and detailed cycle-by-cycle
+    // windows.
     w.field("build_host_ms", r.buildHostMs);
     w.field("ff_host_ms", r.ffHostMs);
     w.field("window_host_ms", r.windowHostMs);
@@ -338,6 +339,13 @@ parseRunJson(const std::string &text)
         throw ResultParseError(std::string("run object: ") + e.what());
     }
     return parseRunJson(doc);
+}
+
+std::string
+scrubHostMs(const std::string &json)
+{
+    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
+    return std::regex_replace(json, host_ms, "\"$1\":0");
 }
 
 void

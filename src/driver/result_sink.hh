@@ -7,9 +7,9 @@
  * Serialization is fully deterministic — fixed key order, fixed float
  * formatting — so the same (specs, results) pair always produces the
  * same bytes, whatever thread count computed it. One deliberate
- * exception: the wall-time perf samples in the JSON document (per-run
- * "host_ms" and the summary's "total_host_ms"); byte-identity
- * comparisons must scrub both. The sampled-simulation fields (sampled,
+ * exception: the wall-time perf samples in the JSON documents (every
+ * key ending in "host_ms"); byte-identity comparisons scrub them with
+ * scrubHostMs(). The sampled-simulation fields (sampled,
  * measured_insts, ipc_error_bound, detailed_insts) are deterministic.
  */
 
@@ -113,6 +113,16 @@ sim::RunResult parseRunJson(const jsonmin::JsonValue &run);
 
 /** parseRunJson over serialized text (one run object). */
 sim::RunResult parseRunJson(const std::string &text);
+
+/**
+ * @p json with the value of every key ending in "host_ms" set to 0:
+ * the per-run host times, their build/ff/window (pp.sweep.v1) and
+ * build/stream/replay (pp.replay.v1) breakdowns and the summaries'
+ * total_host_ms — the only nondeterministic fields either emitter
+ * writes. Two scrubbed documents of the same sweep compare byte for
+ * byte.
+ */
+std::string scrubHostMs(const std::string &json);
 
 /** Abstract sink: serialize one sweep (specs + aligned results). */
 class ResultSink

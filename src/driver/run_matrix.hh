@@ -47,39 +47,19 @@ struct SamplingAxis
     sampling::SamplingPolicy policy;
 };
 
-/** A fully resolved single run: one cell of the matrix. */
-struct RunSpec
+/**
+ * A fully resolved single run: one cell of the matrix — its workload
+ * (sim::Workload: profile, if-conversion, window, trace artifact) plus
+ * the scheme, machine and sampling mode it runs under.
+ */
+struct RunSpec : sim::Workload
 {
-    program::BenchmarkProfile profile;
-    bool ifConvert = false;
     std::string schemeName;
     sim::SchemeConfig scheme;
     std::string configName;     ///< empty for the default machine
     core::CoreConfig config;
     std::string samplingName;   ///< empty for full detailed simulation
     sampling::SamplingPolicy sampling;
-    std::uint64_t warmupInsts = 0;
-    std::uint64_t measureInsts = 0;
-
-    /**
-     * Path of a trace artifact (program/trace.hh) to replay instead of
-     * generating the workload. Empty: generate from the profile. When
-     * set, the engine loads the trace (once per distinct path, shared),
-     * validates it against this spec's profile/if-conversion, and every
-     * code path that would have drawn a fresh condition outcome replays
-     * the recorded stream instead.
-     */
-    std::string tracePath;
-
-    /** Key identifying the binary this run needs (shared across runs). */
-    std::string binaryKey() const;
-
-    /**
-     * Cache key for the engine's binary/decode/trace caches: the trace
-     * path when replaying (two specs naming the same artifact share
-     * everything), binaryKey() otherwise.
-     */
-    std::string buildKey() const;
 
     /** Human-readable "benchmark/scheme[/config][/sampling]" label. */
     std::string label() const;

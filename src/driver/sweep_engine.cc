@@ -119,6 +119,297 @@ checkpointKey(const RunSpec &s)
            std::to_string(s.measureInsts);
 }
 
+/** One distinct workload of an engine pass and everything built for it,
+ *  shared immutably by every spec with the same buildKey(). */
+struct BuildJob
+{
+    const sim::Workload *spec;  ///< first spec needing this workload
+    sim::ProgramRef binary;
+    sim::DecodedRef decoded;
+    sim::TraceRef trace;        ///< loaded (replay) or recorded
+    bool built = false;
+    double ms = 0.0;            ///< wall time of the build
+};
+
+/** The distinct workloads of a spec list and each spec's job. */
+struct Builds
+{
+    std::vector<BuildJob> jobs; ///< first-appearance order
+    std::vector<std::size_t> of; ///< spec index -> job index
+};
+
+/**
+ * Group @p specs by buildKey() in first-appearance order, so the build
+ * cache layout is a pure function of the spec list.
+ */
+template <typename Spec>
+Builds
+groupBuilds(const std::vector<Spec> &specs)
+{
+    Builds b;
+    b.of.resize(specs.size());
+    std::unordered_map<std::string, std::size_t> index;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const auto ins = index.emplace(specs[i].buildKey(), b.jobs.size());
+        if (ins.second)
+            b.jobs.push_back(BuildJob{&specs[i], nullptr, nullptr, nullptr});
+        b.of[i] = ins.first->second;
+    }
+    return b;
+}
+
+/**
+ * Materialize one workload: load its trace artifact, or generate and
+ * predecode its binary and — with @p record_dir — record its trace over
+ * @p record_insts instructions and store it there.
+ */
+void
+materialize(BuildJob &b, const std::string &record_dir,
+            std::uint64_t record_insts)
+{
+    const sim::Workload &s = *b.spec;
+    const auto t0 = std::chrono::steady_clock::now();
+    if (!s.tracePath.empty()) {
+        // Replay: the artifact is the workload. No codegen, no
+        // if-conversion profiling, no condition generation happens
+        // anywhere downstream of this load. loadOrThrow: a corrupt
+        // artifact surfaces as a typed TraceError out of the engine
+        // (parallelFor rethrows), so a shard worker can report "corrupt
+        // trace" distinctly instead of dying mid-pool.
+        obs::ScopedSpan span(obs::tracer(), "trace_load", "build",
+                             s.binaryKey());
+        b.trace = std::make_shared<const program::TraceFile>(
+            program::TraceFile::loadOrThrow(s.tracePath));
+        b.binary = sim::traceBinary(b.trace);
+    } else {
+        obs::ScopedSpan span(obs::tracer(), "binary_build", "build",
+                             s.binaryKey());
+        b.binary = sim::buildBinaryShared(s.profile, s.ifConvert);
+    }
+    {
+        obs::ScopedSpan span(obs::tracer(), "decode", "build",
+                             s.binaryKey());
+        b.decoded = sim::decodeShared(b.binary);
+    }
+    if (s.tracePath.empty() && !record_dir.empty()) {
+        obs::ScopedSpan span(obs::tracer(), "trace_record", "build",
+                             s.binaryKey());
+        program::TraceFile::Meta meta;
+        meta.benchmark = s.profile.name;
+        meta.isFp = s.profile.isFp;
+        meta.ifConverted = s.ifConvert;
+        meta.seed = s.profile.seed;
+        auto t = std::make_shared<const program::TraceFile>(
+            program::TraceFile::record(*b.binary, meta,
+                                       sim::coreSeed(s.profile),
+                                       record_insts, b.decoded.get()));
+        t->store(record_dir + "/" + s.binaryKey() + ".pptrace");
+        b.trace = std::move(t);
+    }
+    b.built = true;
+    b.ms = std::chrono::duration<double, std::milli>(
+        std::chrono::steady_clock::now() - t0).count();
+}
+
+/**
+ * The build phase of run() and runReplay(): group @p specs by workload,
+ * then materialize — in parallel — every workload with at least one
+ * spec in @p wanted, shared immutably by every spec of that workload.
+ * Finally validate each replaying spec against its artifact.
+ */
+template <typename Spec>
+Builds
+buildWorkloads(const std::vector<Spec> &specs,
+               const std::vector<char> &wanted, unsigned threads,
+               const std::string &record_dir)
+{
+    Builds b = groupBuilds(specs);
+    std::vector<char> job_wanted(b.jobs.size(), 0);
+    // Recording horizon: one artifact per binary must serve every spec,
+    // so cover the largest run window plus the oracle-lookahead slack.
+    std::uint64_t record_insts = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        job_wanted[b.of[i]] |= wanted[i];
+        record_insts = std::max(record_insts,
+                                specs[i].warmupInsts + specs[i].measureInsts);
+    }
+    record_insts += program::kTraceRecordSlack;
+    if (!record_dir.empty())
+        makeDirs(record_dir, "trace");
+    parallelFor(b.jobs.size(), threads, [&](std::size_t j) {
+        if (job_wanted[j])
+            materialize(b.jobs[j], record_dir, record_insts);
+    });
+    // Validate every replaying spec — not just the first spec of each
+    // job, since tracePath is public API and hand-built specs could
+    // mis-key an artifact two ways. Demanding the oracle-lookahead
+    // slack on top of each run window makes a too-short artifact fail
+    // here, not as a stream-exhaustion panic mid-sweep; recorded traces
+    // always carry this slack, so same-matrix replays pass.
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const Spec &s = specs[i];
+        if (s.tracePath.empty() || !b.jobs[b.of[i]].built)
+            continue;
+        b.jobs[b.of[i]].trace->validate(
+            s.profile.name, s.profile.seed, s.ifConvert,
+            s.warmupInsts + s.measureInsts + program::kTraceRecordSlack);
+    }
+    return b;
+}
+
+/**
+ * Each executed spec's share of its workload's build time: a build is
+ * divided evenly among the executed specs that consumed it, so the
+ * shares sum to the total build time. A build no executed spec
+ * consumed (a trace workload whose cells all hit the result cache) is
+ * charged to none.
+ */
+std::vector<double>
+buildShares(const Builds &b, const std::vector<char> &executed)
+{
+    std::vector<std::size_t> users(b.jobs.size(), 0);
+    for (std::size_t i = 0; i < b.of.size(); ++i)
+        users[b.of[i]] += executed[i] ? 1 : 0;
+    std::vector<double> share(b.of.size(), 0.0);
+    for (std::size_t i = 0; i < b.of.size(); ++i) {
+        if (executed[i])
+            share[i] = b.jobs[b.of[i]].ms /
+                static_cast<double>(users[b.of[i]]);
+    }
+    return share;
+}
+
+/**
+ * One entry point's pass over the result cache (cache/result_cache.hh),
+ * one slot per cacheable cell: a run() spec or a runReplay() (workload,
+ * config) pair. A probe whose entry no longer parses warns and stays a
+ * miss; a failed store warns.
+ */
+template <typename Result>
+class CachePass
+{
+  public:
+    CachePass(const std::string &dir, std::size_t cells,
+              std::function<Result(const std::string &)> parse)
+        : keys_(cells), hit_(cells, 0), cached_(cells),
+          parse_(std::move(parse))
+    {
+        if (dir.empty())
+            return;
+        makeDirs(dir, "result cache");
+        cache_.reset(new cache::ResultCache(dir));
+    }
+
+    bool enabled() const { return cache_ != nullptr; }
+
+    /** Look cell @p i up under @p key (requires enabled()). */
+    void
+    probe(std::size_t i, std::string key, const std::string &label)
+    {
+        keys_[i] = std::move(key);
+        const auto payload = cache_->lookup(keys_[i]);
+        if (!payload)
+            return;
+        try {
+            cached_[i] = parse_(*payload);
+            hit_[i] = 1;
+        } catch (const ResultParseError &e) {
+            warn("result-cache entry unusable, re-running " + label +
+                 ": " + e.what());
+        }
+    }
+
+    bool hit(std::size_t i) const { return hit_[i] != 0; }
+    const Result &cached(std::size_t i) const { return cached_[i]; }
+
+    /** 1 for every cell still to execute (every miss). */
+    std::vector<char>
+    misses() const
+    {
+        std::vector<char> m(hit_.size());
+        for (std::size_t i = 0; i < hit_.size(); ++i)
+            m[i] = hit_[i] ? 0 : 1;
+        return m;
+    }
+
+    /**
+     * Store every executed cell's exact emitter bytes (@p emit(i)) and
+     * publish what the pass did as the "<prefix>.result_cache_*" and
+     * @p simulated metrics. Hits and misses count the cells served and
+     * executed, not the store's lookups: an entry lookup() returned but
+     * the parse rejected was executed, so it is a miss here.
+     */
+    template <typename Emit, typename Label>
+    ResultCacheUse
+    finish(const Emit &emit, const Label &label, const std::string &prefix,
+           const std::string &simulated)
+    {
+        ResultCacheUse use;
+        for (std::size_t i = 0; i < hit_.size(); ++i) {
+            if (hit_[i])
+                continue;
+            ++use.simulated;
+            if (cache_ == nullptr)
+                continue;
+            try {
+                cache_->store(keys_[i], emit(i));
+            } catch (const cache::ResultCacheError &e) {
+                warn("result-cache store failed for " + label(i) + ": " +
+                     e.what());
+            }
+        }
+        obs::MetricRegistry &m = obs::metrics();
+        if (cache_ != nullptr) {
+            const cache::ResultCacheStats st = cache_->stats();
+            use.hits = hit_.size() - use.simulated;
+            use.misses = use.simulated;
+            use.stores = st.stores;
+            use.corrupt = st.corrupt;
+        }
+        // Registered even without a cache, so a metrics document
+        // always carries them.
+        m.counter(prefix + ".result_cache_hits").add(use.hits);
+        m.counter(prefix + ".result_cache_misses").add(use.misses);
+        m.counter(prefix + ".result_cache_stores").add(use.stores);
+        m.counter(prefix + ".result_cache_corrupt").add(use.corrupt);
+        m.counter(simulated).add(use.simulated);
+        return use;
+    }
+
+  private:
+    std::unique_ptr<cache::ResultCache> cache_;
+    std::vector<std::string> keys_;
+    std::vector<char> hit_;
+    std::vector<Result> cached_;
+    std::function<Result(const std::string &)> parse_;
+};
+
+/**
+ * Configs per replay batch job: each batch makes one pass over the
+ * shared stream, so the batch size trades stream-walk count against
+ * per-pass table working-set (and pool parallelism across batches).
+ * Purely a scheduling knob — batched cells see identical inputs at any
+ * batch size, so results never depend on it.
+ */
+constexpr std::size_t kReplayConfigBatch = 8;
+
+/**
+ * CPU milliseconds consumed by the calling thread. The replay tier's
+ * stream/replay host times are resource costs feeding a throughput
+ * metric (configs/sec, speedup vs full sim); per-job wall clock would
+ * charge pool oversubscription — threads beyond the machine's cores —
+ * against the tier, inflating the summed cost by the subscription
+ * factor on small hosts (CI runners included).
+ */
+double
+threadCpuMs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+        static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
 } // namespace
 
 SweepCounters
@@ -127,23 +418,17 @@ sweepCountersFor(const std::vector<RunSpec> &specs, bool record)
     SweepCounters c;
     // Distinct workloads, first-appearance order (the engine's cache
     // layout).
-    std::unordered_map<std::string, std::size_t> keys;
-    std::vector<const RunSpec *> builds;
-    for (const RunSpec &s : specs) {
-        const std::string key = s.buildKey();
-        if (keys.emplace(key, builds.size()).second)
-            builds.push_back(&s);
-    }
-    c.binariesBuilt = builds.size();
-    c.decodedPrograms = builds.size();
-    c.decodedCacheHits = specs.size() - builds.size();
+    const Builds builds = groupBuilds(specs);
+    c.binariesBuilt = builds.jobs.size();
+    c.decodedPrograms = builds.jobs.size();
+    c.decodedCacheHits = specs.size() - builds.jobs.size();
     // Trace counters are deliberately symmetric between recording and
     // replaying: the sweep that records N artifacts and the sweep that
     // replays them report identical numbers, keeping their summaries
     // byte-comparable.
     std::uint64_t traced_builds = 0;
-    for (const RunSpec *b : builds)
-        traced_builds += (!b->tracePath.empty() || record) ? 1 : 0;
+    for (const BuildJob &b : builds.jobs)
+        traced_builds += (!b.spec->tracePath.empty() || record) ? 1 : 0;
     std::uint64_t traced_specs = 0;
     for (const RunSpec &s : specs)
         traced_specs += (!s.tracePath.empty() || record) ? 1 : 0;
@@ -175,15 +460,6 @@ sweepCountersFor(const std::vector<RunSpec> &specs, bool record)
     return c;
 }
 
-void
-applyTraceDir(std::vector<RunSpec> &specs, const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    for (auto &s : specs)
-        s.tracePath = dir + "/" + s.binaryKey() + ".pptrace";
-}
-
 SweepEngine::SweepEngine(SweepOptions opts) : opts_(opts) {}
 
 std::vector<sim::RunResult>
@@ -197,43 +473,8 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
 {
     const unsigned threads = resolveThreads(opts_.threads);
     threadsUsed_ = threads;
-
     const bool record = !opts_.recordTraceDir.empty();
-    if (record)
-        makeDirs(opts_.recordTraceDir, "trace");
 
-    // Recording horizon: one artifact per binary must serve every cell
-    // of the matrix, so cover the sweep's largest run window plus the
-    // oracle-lookahead slack.
-    std::uint64_t record_insts = 0;
-    for (const RunSpec &s : specs) {
-        record_insts = std::max(record_insts,
-                                s.warmupInsts + s.measureInsts);
-    }
-    record_insts += program::kTraceRecordSlack;
-
-    // Distinct workloads under one cache key (RunSpec::buildKey()),
-    // first-appearance order, so the cache layout is deterministic.
-    struct BuildJob
-    {
-        const RunSpec *spec;    ///< first spec needing this workload
-        sim::ProgramRef binary;
-        sim::DecodedRef decoded;
-        sim::TraceRef trace;    ///< loaded (replay) or recorded
-    };
-    std::vector<BuildJob> builds;
-    std::unordered_map<std::string, std::size_t> key_to_build;
-    std::vector<std::size_t> spec_build(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const std::string key = specs[i].buildKey();
-        auto it = key_to_build.find(key);
-        if (it == key_to_build.end()) {
-            it = key_to_build.emplace(key, builds.size()).first;
-            builds.push_back(BuildJob{&specs[i], nullptr, nullptr,
-                                      nullptr});
-        }
-        spec_build[i] = it->second;
-    }
     // Counters are a pure function of the spec list and options (shared
     // with the shard supervisor, which reports a merged sweep without
     // running an engine over the full list itself).
@@ -247,40 +488,16 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     // (and re-emitting at sink time) round-trips exactly, so a fully
     // warm sweep's document is byte-identical to the cold one. A
     // damaged entry is a typed recoverable miss inside lookup(); an
-    // entry that no longer parses as a run is handled the same way
-    // here. Either kind of miss makes its workload build below.
-    obs::Counter &m_rc_hits =
-        obs::metrics().counter("sweep.result_cache_hits");
-    obs::Counter &m_rc_misses =
-        obs::metrics().counter("sweep.result_cache_misses");
-    obs::Counter &m_rc_stores =
-        obs::metrics().counter("sweep.result_cache_stores");
-    obs::Counter &m_rc_corrupt =
-        obs::metrics().counter("sweep.result_cache_corrupt");
-    obs::Counter &m_simulated =
-        obs::metrics().counter("sweep.runs_simulated");
-    resultCacheUse_ = ResultCacheUse{};
-    std::unique_ptr<cache::ResultCache> rcache;
-    std::vector<std::string> rkeys(specs.size());
-    std::vector<char> rhit(specs.size(), 0);
-    std::vector<sim::RunResult> rcached(specs.size());
-    if (!opts_.resultCacheDir.empty()) {
-        makeDirs(opts_.resultCacheDir, "result cache");
-        rcache.reset(new cache::ResultCache(opts_.resultCacheDir));
-    }
+    // entry that no longer parses as a run is handled the same way.
+    // Either kind of miss makes its workload build below.
+    CachePass<sim::RunResult> rc(
+        opts_.resultCacheDir, specs.size(),
+        [](const std::string &t) { return parseRunJson(t); });
     const auto probe = [&](std::size_t i, const std::string &trace_hash) {
-        rkeys[i] = cache::runKeyText(
-            specs[i], cache::workloadIdentity(specs[i], trace_hash));
-        const auto payload = rcache->lookup(rkeys[i]);
-        if (!payload)
-            return;
-        try {
-            rcached[i] = parseRunJson(*payload);
-            rhit[i] = 1;
-        } catch (const ResultParseError &e) {
-            warn("result-cache entry unusable, re-running " +
-                 specs[i].label() + ": " + e.what());
-        }
+        rc.probe(i,
+                 cache::runKeyText(specs[i], cache::workloadIdentity(
+                                                 specs[i], trace_hash)),
+                 specs[i].label());
     };
     // Cache first: a generated workload's identity is its profile and
     // if-conversion flag, never the built binary, so its cells are
@@ -288,110 +505,37 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     // its trace's content hash and a recording sweep's is the recorded
     // artifact's, so those are probed after Phase 1.
     const auto probe_early = [&](const RunSpec &s) {
-        return rcache != nullptr && !record && s.tracePath.empty();
+        return !record && s.tracePath.empty();
     };
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (probe_early(specs[i]))
+        if (rc.enabled() && probe_early(specs[i]))
             probe(i, std::string());
     }
 
     // Phase 1: materialize each workload that still has a cell to run
-    // — generate the binary (or load its trace artifact), predecode it,
-    // and in record mode capture + store its trace — shared immutably
-    // by every run of the cell. A workload whose cells all hit the
-    // result cache is never built.
-    std::vector<char> needed(builds.size(), 0);
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        needed[spec_build[i]] |= rhit[i] ? 0 : 1;
-    binariesBuilt_ = static_cast<std::size_t>(
-        std::count(needed.begin(), needed.end(), 1));
-
-    // Wall time of each build job, amortized over the cell's runs as
-    // their buildHostMs so the result document carries the full host-
-    // time breakdown.
-    std::vector<double> build_ms(builds.size(), 0.0);
+    // — shared immutably by every run of the cell. A workload whose
+    // cells all hit the result cache is never built.
     obs::Counter &m_builds = obs::metrics().counter("sweep.binaries_built");
     obs::Histogram &m_build_ms =
         obs::metrics().histogram("sweep.build_host_ms");
-    parallelFor(builds.size(), threads, [&](std::size_t i) {
-        if (!needed[i])
-            return;
-        BuildJob &b = builds[i];
-        const RunSpec &s = *b.spec;
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!s.tracePath.empty()) {
-            // Replay: the artifact is the workload. No codegen, no
-            // if-conversion profiling, no condition generation happens
-            // anywhere downstream of this load.
-            {
-                obs::ScopedSpan span(obs::tracer(), "trace_load", "build",
-                                     s.binaryKey());
-                // loadOrThrow: a corrupt artifact surfaces as a typed
-                // TraceError out of run() (parallelFor rethrows), so a
-                // shard worker can report "corrupt trace" distinctly
-                // instead of dying mid-pool.
-                b.trace = std::make_shared<const program::TraceFile>(
-                    program::TraceFile::loadOrThrow(s.tracePath));
-            }
-            b.binary = sim::traceBinary(b.trace);
-            obs::ScopedSpan span(obs::tracer(), "decode", "build",
-                                 s.binaryKey());
-            b.decoded = sim::decodeShared(b.binary);
-        } else {
-            {
-                obs::ScopedSpan span(obs::tracer(), "binary_build",
-                                     "build", s.binaryKey());
-                b.binary = sim::buildBinaryShared(s.profile, s.ifConvert);
-            }
-            {
-                obs::ScopedSpan span(obs::tracer(), "decode", "build",
-                                     s.binaryKey());
-                b.decoded = sim::decodeShared(b.binary);
-            }
-            if (record) {
-                obs::ScopedSpan span(obs::tracer(), "trace_record",
-                                     "build", s.binaryKey());
-                program::TraceFile::Meta meta;
-                meta.benchmark = s.profile.name;
-                meta.isFp = s.profile.isFp;
-                meta.ifConverted = s.ifConvert;
-                meta.seed = s.profile.seed;
-                auto t = std::make_shared<const program::TraceFile>(
-                    program::TraceFile::record(*b.binary, meta,
-                                               sim::coreSeed(s.profile),
-                                               record_insts,
-                                               b.decoded.get()));
-                t->store(opts_.recordTraceDir + "/" + s.binaryKey() +
-                         ".pptrace");
-                b.trace = std::move(t);
-            }
-        }
-        build_ms[i] = std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0).count();
+    const Builds builds =
+        buildWorkloads(specs, rc.misses(), threads, opts_.recordTraceDir);
+    binariesBuilt_ = 0;
+    for (const BuildJob &b : builds.jobs) {
+        if (!b.built)
+            continue;
+        ++binariesBuilt_;
         m_builds.add(1);
-        m_build_ms.observe(build_ms[i]);
-    });
-
-    // Validate every replaying spec against its loaded artifact — not
-    // just the first spec of each build job, since tracePath is public
-    // API and hand-built specs could mis-key an artifact two ways.
-    // Demanding the oracle-lookahead slack on top of each run window
-    // makes a too-short artifact fail here, not as a stream-exhaustion
-    // panic mid-sweep; recorded traces always carry this slack, so
-    // same-matrix replays pass. Then probe the cells whose key needed
-    // the artifact (every such workload was built: none of its cells
-    // had been probed, so none had hit).
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        const RunSpec &s = specs[i];
-        const BuildJob &b = builds[spec_build[i]];
-        if (!s.tracePath.empty()) {
-            b.trace->validate(s.profile.name, s.profile.seed, s.ifConvert,
-                              s.warmupInsts + s.measureInsts +
-                                  program::kTraceRecordSlack);
-        }
-        if (rcache != nullptr && !probe_early(s))
-            probe(i, b.trace->contentHashHex());
+        m_build_ms.observe(b.ms);
     }
+    // Probe the cells whose key needed the artifact (every such
+    // workload was built: none of its cells had been probed, so none
+    // had hit).
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (rc.enabled() && !probe_early(specs[i]))
+            probe(i, builds.jobs[builds.of[i]].trace->contentHashHex());
+    }
+    const std::vector<char> executed = rc.misses();
 
     // Phase 1.5: one window-checkpoint set per distinct (workload,
     // region, policy) among the checkpoint-eligible sampled specs
@@ -405,6 +549,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         std::size_t build;    ///< its workload's build job
         sampling::WindowCheckpointSet set;
         double buildMs = 0.0;
+        std::size_t users = 0; ///< executed specs consuming the set
     };
     constexpr std::size_t kNoCkpt = static_cast<std::size_t>(-1);
     std::vector<CkptJob> ckpts;
@@ -414,17 +559,13 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
         const RunSpec &s = specs[i];
         // A cache-hit cell needs no checkpoint set (and must not force
         // one to be built on its behalf).
-        if (rhit[i])
+        if (!executed[i] || !sampling::checkpointEligible(s.sampling))
             continue;
-        if (!sampling::checkpointEligible(s.sampling))
-            continue;
-        const std::string key = checkpointKey(s);
-        auto it = key_to_ckpt.find(key);
-        if (it == key_to_ckpt.end()) {
-            it = key_to_ckpt.emplace(key, ckpts.size()).first;
-            ckpts.push_back(CkptJob{&specs[i], spec_build[i], {}, 0.0});
-        }
-        spec_ckpt[i] = it->second;
+        const auto ins = key_to_ckpt.emplace(checkpointKey(s), ckpts.size());
+        if (ins.second)
+            ckpts.push_back(CkptJob{&specs[i], builds.of[i], {}, 0.0, 0});
+        spec_ckpt[i] = ins.first->second;
+        ++ckpts[spec_ckpt[i]].users;
     }
     obs::Counter &m_ckpts =
         obs::metrics().counter("sweep.checkpoint_sets");
@@ -438,7 +579,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     parallelFor(ckpts.size(), threads, [&](std::size_t i) {
         CkptJob &c = ckpts[i];
         const RunSpec &s = *c.spec;
-        const BuildJob &b = builds[c.build];
+        const BuildJob &b = builds.jobs[c.build];
         const auto t0 = std::chrono::steady_clock::now();
         const program::TraceFile *replay =
             s.tracePath.empty() ? nullptr : b.trace.get();
@@ -465,7 +606,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     std::vector<std::vector<sampling::WindowRunResult>> window_runs(
         specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (rhit[i])
+        if (!executed[i])
             continue; // served from the result cache: no job at all
         if (spec_ckpt[i] != kNoCkpt) {
             const std::size_t n =
@@ -488,7 +629,7 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
     parallelFor(jobs.size(), threads, [&](std::size_t j) {
         const RunJob &job = jobs[j];
         const RunSpec &s = specs[job.spec];
-        const BuildJob &build = builds[spec_build[job.spec]];
+        const BuildJob &build = builds.jobs[builds.of[job.spec]];
         const sim::ProgramRef &binary = build.binary;
         const program::TraceFile *replay =
             s.tracePath.empty() ? nullptr : build.trace.get();
@@ -537,103 +678,51 @@ SweepEngine::run(const std::vector<RunSpec> &specs)
 
     // Merge window jobs (in window order — bit-identical to the serial
     // checkpoint route by construction) and finish per-run bookkeeping.
+    // Each shared build and checkpoint set is divided among the
+    // executed runs that consumed it, so the per-run host times sum to
+    // the sweep's real cost.
+    const std::vector<double> build_share = buildShares(builds, executed);
     for (std::size_t i = 0; i < specs.size(); ++i) {
         const RunSpec &s = specs[i];
-        const BuildJob &build = builds[spec_build[i]];
-        if (rhit[i]) {
+        if (!executed[i]) {
             // Cached cells are taken verbatim — host-time fields
             // included, so a fully warm document is byte-identical to
             // the cold one without any scrubbing.
-            results[i] = rcached[i];
+            results[i] = rc.cached(i);
             continue;
         }
         if (spec_ckpt[i] != kNoCkpt) {
             const CkptJob &c = ckpts[spec_ckpt[i]];
             sampling::SampledRun merged = sampling::mergeWindowRuns(
                 c.set, window_runs[i], s.profile.name, s.measureInsts);
-            // The shared set's build (or load) cost is attributed to
-            // every run that consumed it, like buildHostMs.
-            merged.result.ffHostMs += c.buildMs;
-            merged.result.hostMs += c.buildMs;
+            const double set_share =
+                c.buildMs / static_cast<double>(c.users);
+            merged.result.ffHostMs += set_share;
+            merged.result.hostMs += set_share;
             results[i] = merged.result;
         }
-        results[i].buildHostMs = build_ms[spec_build[i]];
+        results[i].buildHostMs = build_share[i];
+        const BuildJob &build = builds.jobs[builds.of[i]];
         if (build.trace != nullptr)
             results[i].traceHash = build.trace->contentHashHex();
         m_runs.add(1);
         m_run_ms.observe(results[i].hostMs);
     }
 
-    // Store every executed cell's exact emitter bytes, then publish
-    // the real cache behavior (the deterministic summary counters come
-    // from sweepCountersFor and never look at any of this).
-    if (rcache != nullptr) {
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            if (rhit[i])
-                continue;
+    // Store every executed cell's exact emitter bytes, then publish the
+    // real cache behavior (the deterministic summary counters come from
+    // sweepCountersFor and never look at any of this).
+    resultCacheUse_ = rc.finish(
+        [&](std::size_t i) {
             std::ostringstream os;
             JsonWriter w(os);
             writeRunJson(w, specs[i], results[i]);
-            try {
-                rcache->store(rkeys[i], os.str());
-            } catch (const cache::ResultCacheError &e) {
-                warn("result-cache store failed for " + specs[i].label() +
-                     ": " + e.what());
-            }
-        }
-    }
-    std::uint64_t simulated = 0;
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        simulated += rhit[i] ? 0 : 1;
-    if (rcache != nullptr) {
-        // Hits and misses count the cells served and executed, not the
-        // store's lookups: an entry lookup() returned but parseRunJson()
-        // rejected was re-simulated, so it is a miss here.
-        const cache::ResultCacheStats st = rcache->stats();
-        resultCacheUse_.hits = specs.size() - simulated;
-        resultCacheUse_.misses = simulated;
-        resultCacheUse_.stores = st.stores;
-        resultCacheUse_.corrupt = st.corrupt;
-        m_rc_hits.add(resultCacheUse_.hits);
-        m_rc_misses.add(resultCacheUse_.misses);
-        m_rc_stores.add(st.stores);
-        m_rc_corrupt.add(st.corrupt);
-    }
-    resultCacheUse_.simulated = simulated;
-    m_simulated.add(simulated);
+            return os.str();
+        },
+        [&](std::size_t i) { return specs[i].label(); }, "sweep",
+        "sweep.runs_simulated");
     return results;
 }
-
-namespace
-{
-
-/**
- * Configs per replay batch job: each batch makes one pass over the
- * shared stream, so the batch size trades stream-walk count against
- * per-pass table working-set (and pool parallelism across batches).
- * Purely a scheduling knob — batched cells see identical inputs at any
- * batch size, so results never depend on it.
- */
-constexpr std::size_t kReplayConfigBatch = 8;
-
-/**
- * CPU milliseconds consumed by the calling thread. The replay tier's
- * stream/replay host times are resource costs feeding a throughput
- * metric (configs/sec, speedup vs full sim); per-job wall clock would
- * charge pool oversubscription — threads beyond the machine's cores —
- * against the tier, inflating the summed cost by the subscription
- * factor on small hosts (CI runners included).
- */
-double
-threadCpuMs()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) * 1e3 +
-        static_cast<double>(ts.tv_nsec) * 1e-6;
-}
-
-} // namespace
 
 std::vector<replay::ReplayWorkloadResult>
 SweepEngine::runReplay(const replay::ReplayMatrix &matrix)
@@ -649,134 +738,38 @@ SweepEngine::runReplay(
     const unsigned threads = resolveThreads(opts_.threads);
     threadsUsed_ = threads;
 
-    const bool record = !opts_.recordTraceDir.empty();
-    if (record)
-        makeDirs(opts_.recordTraceDir, "trace");
-    std::uint64_t record_insts = 0;
-    for (const auto &w : workloads) {
-        record_insts = std::max(record_insts,
-                                w.warmupInsts + w.measureInsts);
-    }
-    record_insts += program::kTraceRecordSlack;
-
-    // Phase 1: one build per distinct workload key — the same cache
-    // discipline as run(): binary (or trace artifact) + predecode,
-    // shared immutably by the stream extraction and every batch.
-    struct BuildJob
-    {
-        const replay::ReplayWorkloadSpec *spec;
-        sim::ProgramRef binary;
-        sim::DecodedRef decoded;
-        sim::TraceRef trace;
+    // Phase 1: run()'s build phase. Every workload builds — hit cells
+    // included — because the workload-level stream fields need the
+    // stream.
+    const std::vector<char> all(workloads.size(), 1);
+    const Builds builds =
+        buildWorkloads(workloads, all, threads, opts_.recordTraceDir);
+    binariesBuilt_ = builds.jobs.size();
+    const auto build_of = [&](std::size_t i) -> const BuildJob & {
+        return builds.jobs[builds.of[i]];
     };
-    std::vector<BuildJob> builds;
-    std::unordered_map<std::string, std::size_t> key_to_build;
-    std::vector<std::size_t> wl_build(workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        const std::string key = workloads[i].buildKey();
-        auto it = key_to_build.find(key);
-        if (it == key_to_build.end()) {
-            it = key_to_build.emplace(key, builds.size()).first;
-            builds.push_back(BuildJob{&workloads[i], nullptr, nullptr,
-                                      nullptr});
-        }
-        wl_build[i] = it->second;
-    }
-    binariesBuilt_ = builds.size();
 
-    std::vector<double> build_ms(builds.size(), 0.0);
-    parallelFor(builds.size(), threads, [&](std::size_t i) {
-        BuildJob &b = builds[i];
-        const replay::ReplayWorkloadSpec &s = *b.spec;
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!s.tracePath.empty()) {
-            obs::ScopedSpan span(obs::tracer(), "trace_load", "replay",
-                                 s.binaryKey());
-            b.trace = std::make_shared<const program::TraceFile>(
-                program::TraceFile::loadOrThrow(s.tracePath));
-            b.binary = sim::traceBinary(b.trace);
-            b.decoded = sim::decodeShared(b.binary);
-        } else {
-            obs::ScopedSpan span(obs::tracer(), "binary_build", "replay",
-                                 s.binaryKey());
-            b.binary = sim::buildBinaryShared(s.profile, s.ifConvert);
-            b.decoded = sim::decodeShared(b.binary);
-            if (record) {
-                program::TraceFile::Meta meta;
-                meta.benchmark = s.profile.name;
-                meta.isFp = s.profile.isFp;
-                meta.ifConverted = s.ifConvert;
-                meta.seed = s.profile.seed;
-                auto t = std::make_shared<const program::TraceFile>(
-                    program::TraceFile::record(*b.binary, meta,
-                                               sim::coreSeed(s.profile),
-                                               record_insts,
-                                               b.decoded.get()));
-                t->store(opts_.recordTraceDir + "/" + s.binaryKey() +
-                         ".pptrace");
-                b.trace = std::move(t);
-            }
-        }
-        build_ms[i] = std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0).count();
-    });
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        const replay::ReplayWorkloadSpec &s = workloads[i];
-        if (s.tracePath.empty())
-            continue;
-        builds[wl_build[i]].trace->validate(
-            s.profile.name, s.profile.seed, s.ifConvert,
-            s.warmupInsts + s.measureInsts + program::kTraceRecordSlack);
-    }
-
-    // Result-cache probe, per (workload, config) cell: the replay
-    // tier's cacheable unit is one pp.replay.v1 config object. Stream
-    // extraction below always runs — the workload-level stream fields
-    // need it — but every hit cell drops out of the batch fan-out.
-    obs::Counter &m_rc_hits =
-        obs::metrics().counter("replay.result_cache_hits");
-    obs::Counter &m_rc_misses =
-        obs::metrics().counter("replay.result_cache_misses");
-    obs::Counter &m_rc_stores =
-        obs::metrics().counter("replay.result_cache_stores");
-    obs::Counter &m_rc_corrupt =
-        obs::metrics().counter("replay.result_cache_corrupt");
-    obs::Counter &m_simulated =
-        obs::metrics().counter("replay.configs_simulated");
-    resultCacheUse_ = ResultCacheUse{};
-    std::unique_ptr<cache::ResultCache> rcache;
-    if (!opts_.resultCacheDir.empty()) {
-        makeDirs(opts_.resultCacheDir, "result cache");
-        rcache.reset(new cache::ResultCache(opts_.resultCacheDir));
-    }
-    std::vector<std::vector<std::string>> rkeys(workloads.size());
-    std::vector<std::vector<char>> rhit(workloads.size());
-    std::vector<std::vector<replay::ReplayConfigResult>> rcached(
-        workloads.size());
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        rkeys[i].resize(configs.size());
-        rhit[i].assign(configs.size(), 0);
-        rcached[i].resize(configs.size());
-        if (rcache == nullptr)
-            continue;
-        const BuildJob &b = builds[wl_build[i]];
+    // Result-cache probe, per (workload, config) cell at i * C + c: the
+    // replay tier's cacheable unit is one pp.replay.v1 config object.
+    // Stream extraction below always runs, but every hit cell drops
+    // out of the batch fan-out.
+    const std::size_t n_cfg = configs.size();
+    CachePass<replay::ReplayConfigResult> rc(
+        opts_.resultCacheDir, workloads.size() * n_cfg,
+        [](const std::string &t) { return parseReplayConfigJson(t); });
+    const auto cell_label = [&](std::size_t cell) {
+        return workloads[cell / n_cfg].label() + "/" +
+            configs[cell % n_cfg].name;
+    };
+    for (std::size_t i = 0; rc.enabled() && i < workloads.size(); ++i) {
+        const sim::TraceRef &trace = build_of(i).trace;
         const std::string wl = cache::workloadIdentity(
-            workloads[i], b.trace != nullptr ? b.trace->contentHashHex()
-                                             : std::string());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            rkeys[i][c] =
-                cache::replayKeyText(workloads[i], wl, configs[c]);
-            const auto payload = rcache->lookup(rkeys[i][c]);
-            if (!payload)
-                continue;
-            try {
-                rcached[i][c] = parseReplayConfigJson(*payload);
-                rhit[i][c] = 1;
-            } catch (const ResultParseError &e) {
-                warn("result-cache entry unusable, re-evaluating " +
-                     workloads[i].label() + "/" + configs[c].name + ": " +
-                     e.what());
-            }
+            workloads[i],
+            trace != nullptr ? trace->contentHashHex() : std::string());
+        for (std::size_t c = 0; c < n_cfg; ++c) {
+            rc.probe(i * n_cfg + c,
+                     cache::replayKeyText(workloads[i], wl, configs[c]),
+                     cell_label(i * n_cfg + c));
         }
     }
 
@@ -789,7 +782,7 @@ SweepEngine::runReplay(
         obs::metrics().counter("replay.streams_built");
     parallelFor(workloads.size(), threads, [&](std::size_t i) {
         const replay::ReplayWorkloadSpec &s = workloads[i];
-        const BuildJob &b = builds[wl_build[i]];
+        const BuildJob &b = build_of(i);
         const double t0 = threadCpuMs();
         obs::ScopedSpan span(obs::tracer(), "stream_extract", "replay",
                              s.label());
@@ -806,6 +799,7 @@ SweepEngine::runReplay(
     // predicate walker — per-batch shared state evolves identically in
     // every batch), then writes into disjoint result slots, so the
     // document is byte-identical at any thread count or batch size.
+    const std::vector<double> build_share = buildShares(builds, all);
     std::vector<replay::ReplayWorkloadResult> results(workloads.size());
     for (std::size_t i = 0; i < workloads.size(); ++i) {
         const replay::ReplayWorkloadSpec &s = workloads[i];
@@ -817,14 +811,14 @@ SweepEngine::runReplay(
         r.streamEvents = streams[i].events();
         r.streamBranches = streams[i].measureBranches;
         r.streamCompares = streams[i].measureCompares;
-        r.buildHostMs = build_ms[wl_build[i]];
+        r.buildHostMs = build_share[i];
         r.streamHostMs = stream_ms[i];
-        if (builds[wl_build[i]].trace != nullptr)
-            r.traceHash = builds[wl_build[i]].trace->contentHashHex();
-        r.configs.resize(configs.size());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            if (rhit[i][c])
-                r.configs[c] = rcached[i][c];
+        if (build_of(i).trace != nullptr)
+            r.traceHash = build_of(i).trace->contentHashHex();
+        r.configs.resize(n_cfg);
+        for (std::size_t c = 0; c < n_cfg; ++c) {
+            if (rc.hit(i * n_cfg + c))
+                r.configs[c] = rc.cached(i * n_cfg + c);
         }
     }
 
@@ -840,8 +834,8 @@ SweepEngine::runReplay(
     std::vector<BatchJob> jobs;
     for (std::size_t i = 0; i < workloads.size(); ++i) {
         std::vector<std::size_t> missing;
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            if (!rhit[i][c])
+        for (std::size_t c = 0; c < n_cfg; ++c) {
+            if (!rc.hit(i * n_cfg + c))
                 missing.push_back(c);
         }
         for (std::size_t from = 0; from < missing.size();
@@ -868,9 +862,8 @@ SweepEngine::runReplay(
         cells.reserve(job.cfgs.size());
         for (const std::size_t c : job.cfgs)
             cells.emplace_back(configs[c]);
-        replay::PredictorReplay pass(
-            *builds[wl_build[job.workload]].binary,
-            streams[job.workload]);
+        replay::PredictorReplay pass(*build_of(job.workload).binary,
+                                     streams[job.workload]);
         pass.run(cells);
         for (std::size_t k = 0; k < job.cfgs.size(); ++k) {
             replay::ReplayConfigResult &cr =
@@ -886,41 +879,16 @@ SweepEngine::runReplay(
         results[jobs[j].workload].replayHostMs += batch_ms[j];
 
     // Store every evaluated cell's exact emitter bytes.
-    std::uint64_t simulated = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            if (rhit[i][c])
-                continue;
-            ++simulated;
-            if (rcache == nullptr)
-                continue;
+    resultCacheUse_ = rc.finish(
+        [&](std::size_t cell) {
             std::ostringstream os;
             JsonWriter w(os);
-            writeReplayConfigJson(w, results[i].configs[c],
-                                  workloads[i].measureInsts);
-            try {
-                rcache->store(rkeys[i][c], os.str());
-            } catch (const cache::ResultCacheError &e) {
-                warn("result-cache store failed for " +
-                     workloads[i].label() + "/" + configs[c].name + ": " +
-                     e.what());
-            }
-        }
-    }
-    if (rcache != nullptr) {
-        // Served and evaluated cells, as in run().
-        const cache::ResultCacheStats st = rcache->stats();
-        resultCacheUse_.hits = workloads.size() * configs.size() - simulated;
-        resultCacheUse_.misses = simulated;
-        resultCacheUse_.stores = st.stores;
-        resultCacheUse_.corrupt = st.corrupt;
-        m_rc_hits.add(resultCacheUse_.hits);
-        m_rc_misses.add(resultCacheUse_.misses);
-        m_rc_stores.add(st.stores);
-        m_rc_corrupt.add(st.corrupt);
-    }
-    resultCacheUse_.simulated = simulated;
-    m_simulated.add(simulated);
+            writeReplayConfigJson(
+                w, results[cell / n_cfg].configs[cell % n_cfg],
+                workloads[cell / n_cfg].measureInsts);
+            return os.str();
+        },
+        cell_label, "replay", "replay.configs_simulated");
     return results;
 }
 

@@ -155,13 +155,6 @@ struct ResultCacheUse
 SweepCounters sweepCountersFor(const std::vector<RunSpec> &specs,
                                bool record);
 
-/**
- * Point every spec at its trace artifact under @p dir (the engine's
- * record-mode naming: "<binaryKey>.pptrace"), switching the sweep to
- * replay. No-op when @p dir is empty.
- */
-void applyTraceDir(std::vector<RunSpec> &specs, const std::string &dir);
-
 class SweepEngine
 {
   public:

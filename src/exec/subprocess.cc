@@ -59,11 +59,22 @@ Subprocess::run(const std::vector<std::string> &argv, const Options &opts)
     if (argv.empty())
         fatal("Subprocess::run: empty argv");
 
+    // Close-on-exec: concurrent run()s fork from several threads, and a
+    // child forked while another run's pipes are open must not carry
+    // them across its exec. An inherited write end keeps that run's
+    // pipes from reaching EOF until the stray child exits, so a clean
+    // worker beside a hanging one would be reported as timed out.
     int out_pipe[2];
     int err_pipe[2];
-    if (::pipe(out_pipe) != 0 || ::pipe(err_pipe) != 0)
+    if (::pipe2(out_pipe, O_CLOEXEC) != 0 ||
+        ::pipe2(err_pipe, O_CLOEXEC) != 0)
         fatal(std::string("Subprocess::run: pipe: ") +
               std::strerror(errno));
+    std::vector<char *> cargv;
+    cargv.reserve(argv.size() + 1);
+    for (const std::string &a : argv)
+        cargv.push_back(const_cast<char *>(a.c_str()));
+    cargv.push_back(nullptr);
 
     const pid_t pid = ::fork();
     if (pid < 0)
@@ -71,26 +82,19 @@ Subprocess::run(const std::vector<std::string> &argv, const Options &opts)
               std::strerror(errno));
 
     if (pid == 0) {
-        // Child: wire the pipes, apply the extra environment, exec.
-        // Only async-signal-safe calls plus setenv (single-threaded
-        // here) before exec; _exit on any failure so we never run the
-        // parent's atexit handlers twice. Own process group so a
-        // deadline kill reaps grandchildren too — otherwise a killed
-        // worker's own children would hold the pipes open.
+        // Child: wire the pipes (dup2 clears close-on-exec on the
+        // copies), apply the extra environment, exec. Only
+        // async-signal-safe calls plus setenv (glibc keeps malloc
+        // usable in a forked child) before exec; _exit on any failure
+        // so we never run the parent's atexit handlers twice. Own
+        // process group so a deadline kill reaps grandchildren too —
+        // otherwise a killed worker's own children would hold the
+        // pipes open.
         ::setpgid(0, 0);
         ::dup2(out_pipe[1], STDOUT_FILENO);
         ::dup2(err_pipe[1], STDERR_FILENO);
-        ::close(out_pipe[0]);
-        ::close(out_pipe[1]);
-        ::close(err_pipe[0]);
-        ::close(err_pipe[1]);
         for (const auto &kv : opts.env)
             ::setenv(kv.first.c_str(), kv.second.c_str(), 1);
-        std::vector<char *> cargv;
-        cargv.reserve(argv.size() + 1);
-        for (const std::string &a : argv)
-            cargv.push_back(const_cast<char *>(a.c_str()));
-        cargv.push_back(nullptr);
         ::execvp(cargv[0], cargv.data());
         ::dprintf(STDERR_FILENO, "exec %s: %s\n", cargv[0],
                   std::strerror(errno));

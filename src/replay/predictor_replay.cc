@@ -395,18 +395,6 @@ PredictorReplay::run(std::vector<ReplayCell> &cells)
 // ReplayMatrix
 // ---------------------------------------------------------------------
 
-std::string
-ReplayWorkloadSpec::binaryKey() const
-{
-    return ifConvert ? profile.name + "+ifc" : profile.name;
-}
-
-std::string
-ReplayWorkloadSpec::buildKey() const
-{
-    return tracePath.empty() ? binaryKey() : "trace:" + tracePath;
-}
-
 ReplayMatrix::ReplayMatrix()
     : warmup_(sim::defaultWarmup()), measure_(sim::defaultInstructions())
 {
@@ -479,16 +467,6 @@ ReplayMatrix::workloads() const
         out.push_back(std::move(w));
     }
     return out;
-}
-
-void
-applyReplayTraceDir(std::vector<ReplayWorkloadSpec> &workloads,
-                    const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    for (auto &w : workloads)
-        w.tracePath = dir + "/" + w.binaryKey() + ".pptrace";
 }
 
 ReplayWorkloadResult

@@ -273,26 +273,12 @@ class PredictorReplay
     std::uint64_t eventIdx_ = 0; ///< cumulative across warmup + measure
 };
 
-/** One workload of a replay sweep (the stream-cache key unit). */
-struct ReplayWorkloadSpec
+/**
+ * One workload of a replay sweep (the stream-cache key unit): a plain
+ * sim::Workload, the same type a full-detail RunSpec carries.
+ */
+struct ReplayWorkloadSpec : sim::Workload
 {
-    program::BenchmarkProfile profile;
-    bool ifConvert = false;
-    std::uint64_t warmupInsts = 0;
-    std::uint64_t measureInsts = 0;
-
-    /**
-     * Trace artifact to replay instead of generating the workload
-     * (program/trace.hh); empty = generate from the profile.
-     */
-    std::string tracePath;
-
-    /** Key identifying the binary this workload needs. */
-    std::string binaryKey() const;
-
-    /** Cache key for the engine's build/stream caches. */
-    std::string buildKey() const;
-
     std::string label() const { return binaryKey(); }
 };
 
@@ -365,14 +351,6 @@ class ReplayMatrix
     std::uint64_t measure_;
     std::string benchmarkFilter_;
 };
-
-/**
- * Point every workload at its trace artifact under @p dir (the sweep
- * engine's record-mode naming: "<binaryKey>.pptrace"). No-op when
- * @p dir is empty.
- */
-void applyReplayTraceDir(std::vector<ReplayWorkloadSpec> &workloads,
-                         const std::string &dir);
 
 /**
  * Convenience single-workload runner (tests, serial baselines): build

@@ -12,6 +12,18 @@ namespace pp
 namespace sim
 {
 
+std::string
+Workload::binaryKey() const
+{
+    return ifConvert ? profile.name + "+ifc" : profile.name;
+}
+
+std::string
+Workload::buildKey() const
+{
+    return tracePath.empty() ? binaryKey() : "trace:" + tracePath;
+}
+
 program::Program
 buildBinary(const program::BenchmarkProfile &profile, bool if_convert,
             program::IfConvertStats *ifc_stats)

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/config.hh"
 #include "core/corestats.hh"
@@ -40,6 +41,56 @@ struct SchemeConfig
     /** Confidence-counter width for selective predication (0 = default). */
     unsigned confidenceBits = 0;
 };
+
+/**
+ * One workload: a benchmark binary (optionally if-converted) over a
+ * [warmup, warmup + measure) instruction window, generated from its
+ * profile or replayed from a trace artifact. The unit the sweep engine
+ * builds, records and keys the result cache by, shared by both run
+ * tiers (driver::RunSpec, replay::ReplayWorkloadSpec).
+ */
+struct Workload
+{
+    program::BenchmarkProfile profile;
+    bool ifConvert = false;
+    std::uint64_t warmupInsts = 0;
+    std::uint64_t measureInsts = 0;
+
+    /**
+     * Path of a trace artifact (program/trace.hh) to replay instead of
+     * generating the workload. Empty: generate from the profile. When
+     * set, the engine loads the trace (once per distinct path, shared),
+     * validates it against this workload's profile/if-conversion, and
+     * every code path that would have drawn a fresh condition outcome
+     * replays the recorded stream instead.
+     */
+    std::string tracePath;
+
+    /** Key identifying the binary this workload needs. */
+    std::string binaryKey() const;
+
+    /**
+     * Cache key for the engine's binary/decode/trace caches: the trace
+     * path when replaying (two specs naming the same artifact share
+     * everything), binaryKey() otherwise.
+     */
+    std::string buildKey() const;
+};
+
+/**
+ * Point every workload at its trace artifact under @p dir (the engine's
+ * record-mode naming: "<binaryKey>.pptrace"), switching the sweep to
+ * replay. No-op when @p dir is empty.
+ */
+template <typename Spec>
+void
+applyTraceDir(std::vector<Spec> &specs, const std::string &dir)
+{
+    if (dir.empty())
+        return;
+    for (Workload &w : specs)
+        w.tracePath = dir + "/" + w.binaryKey() + ".pptrace";
+}
 
 /** Result of one measured run. */
 struct RunResult

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -58,13 +57,6 @@ std::string
 keyOf(const driver::RunSpec &spec)
 {
     return cache::runKeyText(spec, cache::workloadIdentity(spec, ""));
-}
-
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex re("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, re, "\"$1\":0");
 }
 
 std::string
@@ -418,7 +410,7 @@ TEST(ResultCacheEngine, CorruptEntryReSimulatesThatCellOnly)
             driver::JsonSink{engine.counters()}.toString(specs, results);
         // One cell re-simulated (fresh host_ms), everything else
         // replayed; after the scrub the documents are identical.
-        EXPECT_EQ(scrubHostMs(warm_doc), scrubHostMs(cold_doc));
+        EXPECT_EQ(driver::scrubHostMs(warm_doc), driver::scrubHostMs(cold_doc));
         EXPECT_EQ(engine.resultCacheUse().hits, d.hits);
         EXPECT_EQ(engine.resultCacheUse().misses, 1u);
         EXPECT_EQ(engine.resultCacheUse().simulated, 1u);
@@ -460,7 +452,7 @@ TEST(ResultCacheEngine, ArtifactKeyedSweepsStillLoadOrBuild)
         EXPECT_EQ(engine.resultCacheUse().simulated, 0u);
     }
     std::vector<driver::RunSpec> replay_specs = specs;
-    driver::applyTraceDir(replay_specs, trace_dir);
+    sim::applyTraceDir(replay_specs, trace_dir);
     driver::SweepOptions replay_opts;
     replay_opts.resultCacheDir = record_opts.resultCacheDir;
     driver::SweepEngine engine(replay_opts);
@@ -500,7 +492,7 @@ TEST(ResultCacheEngine, WarmReplaySweepEvaluatesNothing)
     const std::string warm_doc = driver::replayJsonString(results);
     // The replay tier re-extracts streams (host-time fields recompute),
     // so the identity contract is modulo *host_ms.
-    EXPECT_EQ(scrubHostMs(warm_doc), scrubHostMs(cold_doc));
+    EXPECT_EQ(driver::scrubHostMs(warm_doc), driver::scrubHostMs(cold_doc));
     EXPECT_EQ(engine.resultCacheUse().simulated, 0u);
     EXPECT_EQ(engine.resultCacheUse().hits,
               matrix.workloads().size() * matrix.configs().size());

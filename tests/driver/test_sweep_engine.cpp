@@ -2,11 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <regex>
-
 #include "driver/result_sink.hh"
 #include "driver/run_matrix.hh"
 #include "driver/sweep_engine.hh"
+#include "obs/metrics.hh"
 
 using namespace pp;
 using namespace pp::driver;
@@ -16,19 +15,6 @@ namespace
 
 constexpr std::uint64_t kWarm = 10000;
 constexpr std::uint64_t kRun = 40000;
-
-/**
- * Neutralize the intentionally nondeterministic JSON fields (per-run
- * host wall time, its build/ff/window breakdown and the summary's
- * total — every key ending in "host_ms") so documents can be compared
- * byte-for-byte.
- */
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, host_ms, "\"$1\":0");
-}
 
 RunMatrix
 smallMatrix()
@@ -338,6 +324,28 @@ TEST(SweepEngine, BinaryCacheBuildsEachBinaryOnce)
     // results without an engine keep their old byte layout).
     const std::string plain = JsonSink{}.toString(m.specs(), results);
     EXPECT_EQ(plain.find("decoded_cache_hits"), std::string::npos);
+}
+
+TEST(SweepEngine, BuildHostMsSharesSumToBuildTime)
+{
+    // Each workload's build is divided among the runs that consumed
+    // it, so the runs' build_host_ms add up to the builds' wall time
+    // (two schemes per workload here: no run carries a whole build).
+    obs::Histogram &build_ms =
+        obs::metrics().histogram("sweep.build_host_ms");
+    const double before = build_ms.sum();
+    SweepOptions opts;
+    opts.threads = 2;
+    SweepEngine engine(opts);
+    const auto results = engine.run(smallMatrix());
+    const double built = build_ms.sum() - before;
+    double shares = 0.0;
+    for (const auto &r : results)
+        shares += r.buildHostMs;
+    ASSERT_GT(built, 0.0);
+    EXPECT_NEAR(shares, built, 1e-9 * built);
+    for (std::size_t i = 0; i + 1 < results.size(); i += 2)
+        EXPECT_EQ(results[i].buildHostMs, results[i + 1].buildHostMs);
 }
 
 TEST(SweepEngine, ResultsAlignWithSpecs)

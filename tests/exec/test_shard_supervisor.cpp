@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,7 @@ smokeSpecs(const std::string &trace_dir = "")
     driver::RunMatrix m = driver::namedGrid("smoke");
     m.window(kWarmup, kMeasure);
     std::vector<driver::RunSpec> specs = m.specs();
-    driver::applyTraceDir(specs, trace_dir);
+    sim::applyTraceDir(specs, trace_dir);
     return specs;
 }
 
@@ -78,19 +77,11 @@ workerCmd(const std::string &trace_dir = "")
     return cmd;
 }
 
-/** Zero the wall-time-only fields; everything else must match exactly. */
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex re("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, re, "\"$1\":0");
-}
-
 std::string
 mergedJson(const std::vector<driver::RunSpec> &specs,
            const std::vector<sim::RunResult> &results)
 {
-    return scrubHostMs(
+    return driver::scrubHostMs(
         driver::JsonSink{driver::sweepCountersFor(specs, false)}.toString(
             specs, results));
 }

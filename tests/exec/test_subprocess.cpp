@@ -6,6 +6,7 @@
 
 #include <csignal>
 #include <chrono>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -87,4 +88,22 @@ TEST(Subprocess, LargeOutputDoesNotDeadlock)
          "0123456789abcdef0123456789abcdef; i=$((i+1)); done"});
     EXPECT_TRUE(res.ok());
     EXPECT_EQ(res.out.size(), 20000u * 33u);
+}
+
+TEST(Subprocess, ChildInheritsNoConcurrentRunsPipes)
+{
+    // A child must see the same descriptors whether or not another
+    // run() is in flight on another thread: a sibling's inherited pipe
+    // end would hold that run open until this child exits.
+    const std::vector<std::string> list_fds = {"/bin/sh", "-c",
+                                               "ls /proc/$$/fd"};
+    const auto alone = exec::Subprocess::run(list_fds);
+    ASSERT_TRUE(alone.ok());
+    std::thread sibling(
+        [] { exec::Subprocess::run({"/bin/sh", "-c", "sleep 2"}); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const auto beside = exec::Subprocess::run(list_fds);
+    sibling.join();
+    ASSERT_TRUE(beside.ok());
+    EXPECT_EQ(beside.out, alone.out);
 }

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -92,13 +91,6 @@ makeTraceDir()
     const char *dir = mkdtemp(templ.data());
     EXPECT_NE(dir, nullptr);
     return templ;
-}
-
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, host_ms, "\"$1\":0");
 }
 
 } // namespace
@@ -343,7 +335,7 @@ TEST(TraceSweep, RecordThenReplayIsByteIdenticalFullAndSampled)
     const std::string replay_json =
         driver::JsonSink{replayer.counters()}.toString(specs, replayed);
 
-    EXPECT_EQ(scrubHostMs(live_json), scrubHostMs(replay_json));
+    EXPECT_EQ(driver::scrubHostMs(live_json), driver::scrubHostMs(replay_json));
     EXPECT_EQ(driver::CsvSink{}.toString(specs, live),
               driver::CsvSink{}.toString(specs, replayed));
 

@@ -21,9 +21,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <regex>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <unistd.h>
 
 #include "driver/replay_sink.hh"
+#include "driver/result_sink.hh"
 #include "driver/sweep_engine.hh"
 #include "program/trace.hh"
 #include "replay/predictor_replay.hh"
@@ -69,14 +73,6 @@ constexpr double kEarlyResolvedMissShare = 0.12;
 /** Window-boundary slack: the detailed core overshoots the measured
  *  region by up to a fetch group, so edge branches can differ. */
 constexpr double kCountSlack = 2.0;
-
-/** See tests/driver/test_sweep_engine.cpp: neutralize *host_ms. */
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, host_ms, "\"$1\":0");
-}
 
 replay::ReplayWorkloadSpec
 specFor(const program::BenchmarkProfile &profile, bool if_convert,
@@ -152,6 +148,38 @@ mixedConfigs()
         out.push_back(replay::ReplayConfig{"peppa-small", pep, small});
     }
     return out;
+}
+
+/** Fresh per-test scratch directory (under the gtest temp root). */
+std::string
+uniqueDir(const std::string &name)
+{
+    const std::string d = ::testing::TempDir() + "ppreplay-" + name + "-" +
+        std::to_string(::getpid());
+    std::filesystem::remove_all(d);
+    std::filesystem::create_directories(d);
+    return d;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+/** The same two workloads as a full-detail spec list. */
+std::vector<driver::RunSpec>
+runSpecsFor(const std::vector<replay::ReplayWorkloadSpec> &workloads)
+{
+    driver::RunMatrix m;
+    for (const auto &w : workloads)
+        m.addBenchmark(w.profile);
+    sim::SchemeConfig conv;
+    m.addScheme("conventional", conv)
+        .ifConvert(true)
+        .window(workloads[0].warmupInsts, workloads[0].measureInsts);
+    return m.specs();
 }
 
 } // namespace
@@ -269,13 +297,13 @@ TEST(PredictorReplay, EngineDocByteIdenticalAcrossThreadCounts)
     driver::SweepOptions one;
     one.threads = 1;
     driver::SweepEngine engine_one(one);
-    const std::string doc_one = scrubHostMs(
+    const std::string doc_one = driver::scrubHostMs(
         driver::replayJsonString(engine_one.runReplay(matrix)));
 
     driver::SweepOptions four;
     four.threads = 4;
     driver::SweepEngine engine_four(four);
-    const std::string doc_four = scrubHostMs(
+    const std::string doc_four = driver::scrubHostMs(
         driver::replayJsonString(engine_four.runReplay(matrix)));
 
     EXPECT_EQ(doc_one, doc_four);
@@ -308,4 +336,59 @@ TEST(PredictorReplay, TraceStreamMatchesGeneratedStream)
     EXPECT_EQ(generated.measureEvents, replayed.measureEvents);
     EXPECT_EQ(generated.measureBranches, replayed.measureBranches);
     EXPECT_EQ(generated.measureCompares, replayed.measureCompares);
+}
+
+// ---------------------------------------------------------------------
+// The build phase both engine entry points share
+// ---------------------------------------------------------------------
+
+TEST(PredictorReplay, RecordModeWritesTheSameTracesAsRun)
+{
+    const std::vector<replay::ReplayWorkloadSpec> workloads = {
+        specFor(program::profileByName("gzip"), true, 5000, 20000),
+        specFor(program::profileByName("crafty"), true, 5000, 20000)};
+    const std::string run_dir = uniqueDir("rec-run");
+    const std::string replay_dir = uniqueDir("rec-replay");
+
+    driver::SweepOptions opts;
+    opts.recordTraceDir = run_dir;
+    driver::SweepEngine(opts).run(runSpecsFor(workloads));
+    opts.recordTraceDir = replay_dir;
+    driver::SweepEngine(opts).runReplay(workloads, mixedConfigs());
+
+    for (const auto &w : workloads) {
+        SCOPED_TRACE(w.binaryKey());
+        const std::string name = "/" + w.binaryKey() + ".pptrace";
+        const std::string recorded = readFile(run_dir + name);
+        ASSERT_FALSE(recorded.empty());
+        EXPECT_EQ(readFile(replay_dir + name), recorded);
+    }
+}
+
+TEST(PredictorReplay, DamagedTraceIsATypedErrorFromBothEntryPoints)
+{
+    std::vector<replay::ReplayWorkloadSpec> workloads = {
+        specFor(program::profileByName("gzip"), true, 5000, 20000)};
+    const std::string dir = uniqueDir("damaged");
+    {
+        driver::SweepOptions opts;
+        opts.recordTraceDir = dir;
+        driver::SweepEngine(opts).runReplay(workloads, mixedConfigs());
+    }
+    // Flip one byte in the middle of the artifact: its content hash no
+    // longer matches.
+    const std::string path = dir + "/" + workloads[0].binaryKey() +
+        ".pptrace";
+    std::string bytes = readFile(path);
+    ASSERT_FALSE(bytes.empty());
+    bytes[bytes.size() / 2] ^= 0x5a;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+
+    std::vector<driver::RunSpec> specs = runSpecsFor(workloads);
+    sim::applyTraceDir(specs, dir);
+    sim::applyTraceDir(workloads, dir);
+    driver::SweepEngine engine{driver::SweepOptions{}};
+    EXPECT_THROW(engine.run(specs), program::TraceError);
+    EXPECT_THROW(engine.runReplay(workloads, mixedConfigs()),
+                 program::TraceError);
 }

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <regex>
 #include <set>
 
 #include "driver/result_sink.hh"
@@ -80,13 +79,6 @@ buildGzipSet()
     const program::Program binary = sim::buildBinary(profile, true);
     return sampling::buildWindowCheckpoints(binary, profile, 5000, 20000,
                                             gappedPolicy());
-}
-
-std::string
-scrubHostMs(const std::string &json)
-{
-    static const std::regex host_ms("\"([a-z_]*host_ms)\":[-+0-9.eE]+");
-    return std::regex_replace(json, host_ms, "\"$1\":0");
 }
 
 } // namespace
@@ -294,7 +286,7 @@ TEST(WindowCheckpoint, ParallelWindowsBitIdenticalAcrossThreadCounts)
         opts.threads = threads;
         driver::SweepEngine engine(opts);
         const auto results = engine.run(specs);
-        docs.push_back(scrubHostMs(
+        docs.push_back(driver::scrubHostMs(
             driver::JsonSink{engine.counters()}.toString(specs, results)));
         all.push_back(results);
     }

@@ -204,7 +204,7 @@ main(int argc, char **argv)
     std::vector<driver::RunSpec> specs = matrix.specs();
     if (specs.empty())
         fatal("grid '" + grid + "' is empty after filtering");
-    driver::applyTraceDir(specs, trace_dir);
+    sim::applyTraceDir(specs, trace_dir);
 
     // The worker re-derives the identical spec list from the same grid
     // arguments; the supervisor appends only the per-attempt range.

@@ -146,7 +146,7 @@ main(int argc, char **argv)
     std::vector<driver::RunSpec> specs = matrix.specs();
     if (specs.empty())
         fatal("grid '" + grid + "' is empty after filtering");
-    driver::applyTraceDir(specs, trace_dir);
+    sim::applyTraceDir(specs, trace_dir);
     if (!have_range) {
         begin = 0;
         end = specs.size();
