@@ -304,7 +304,7 @@ struct ReplayWorkloadResult
 
     /** @name Host wall times (NOT deterministic; scrub *host_ms) */
     /// @{
-    double buildHostMs = 0.0;    ///< binary/decode/trace (amortized)
+    double buildHostMs = 0.0;    ///< share of the binary/decode/trace
     double streamHostMs = 0.0;   ///< stream extraction
     double replayHostMs = 0.0;   ///< summed batch pass time
     /// @}

@@ -116,13 +116,14 @@ struct RunResult
      * @name Host-time breakdown (also non-deterministic; scrubbed with
      * hostMs by byte-identity comparisons)
      *
-     * Where hostMs went: binary build + decode + trace work amortized
-     * over the cell's runs, fast-forward (skip + warm tiers), and the
+     * Where hostMs went: this run's share of its workload's binary
+     * build + decode + trace work (each build divided among the runs
+     * that consumed it), fast-forward (skip + warm tiers), and the
      * detailed cycle-by-cycle windows. For full runs windowHostMs is
      * the whole core execution and ffHostMs stays 0.
      */
     /// @{
-    double buildHostMs = 0.0;   ///< cell build cost (set by the driver)
+    double buildHostMs = 0.0;   ///< build share (set by the driver)
     double ffHostMs = 0.0;      ///< fast-forward + drain host time
     double windowHostMs = 0.0;  ///< detailed-window host time
     /// @}
