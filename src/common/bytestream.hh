@@ -72,8 +72,8 @@ struct ByteReader
     std::uint64_t
     u64()
     {
-        panicIfNot(at + 8 <= bytes.size(),
-                   std::string(what) + " truncated");
+        if (at + 8 > bytes.size())
+            panic(std::string(what) + " truncated");
         std::uint64_t v = 0;
         for (int i = 0; i < 8; ++i)
             v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
@@ -100,8 +100,8 @@ struct ByteReader
     length(std::size_t unit_words = 1)
     {
         const std::uint64_t n = u64();
-        panicIfNot(n <= (bytes.size() - at) / (8 * unit_words),
-                   std::string(what) + " truncated");
+        if (n > (bytes.size() - at) / (8 * unit_words))
+            panic(std::string(what) + " truncated");
         return static_cast<std::size_t>(n);
     }
 
@@ -118,8 +118,8 @@ struct ByteReader
     str()
     {
         const std::uint64_t n = u64();
-        panicIfNot(n <= bytes.size() - at,
-                   std::string(what) + " truncated");
+        if (n > bytes.size() - at)
+            panic(std::string(what) + " truncated");
         std::string s(reinterpret_cast<const char *>(bytes.data() + at),
                       static_cast<std::size_t>(n));
         at += static_cast<std::size_t>(n);
@@ -130,8 +130,8 @@ struct ByteReader
     void
     expectEnd() const
     {
-        panicIfNot(at == bytes.size(),
-                   std::string(what) + " has trailing bytes");
+        if (at != bytes.size())
+            panic(std::string(what) + " has trailing bytes");
     }
 };
 

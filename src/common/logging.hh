@@ -4,7 +4,10 @@
  *
  * Error reporting follows gem5's logging.hh conventions: panic() for
  * simulator bugs, fatal() for user/configuration errors — both
- * [[noreturn]], both unconditional.
+ * [[noreturn]], both unconditional. panicIfNot(cond, "literal") is the
+ * checked form and takes a string literal only, so a passing check
+ * allocates nothing; a check whose message is computed is written
+ * `if (!cond) panic(...)`.
  *
  * Diagnostics are leveled and thread-safe: warn() / inform() /
  * logDebug() (and their printf-style *f twins) emit one atomic line to
@@ -239,9 +242,14 @@ logRawf(const char *fmt, ...)
     va_end(args);
 }
 
-/** panic() unless @p cond holds. */
+/**
+ * panic() unless @p cond holds. The message is a literal: the check runs
+ * on hot paths (once per fetched, renamed and committed instruction), so
+ * it must cost nothing when @p cond holds. A message computed at run time
+ * is written `if (!cond) panic(...)`, which builds it only on failure.
+ */
 inline void
-panicIfNot(bool cond, const std::string &msg)
+panicIfNot(bool cond, const char *msg)
 {
     if (!cond)
         panic(msg);

@@ -41,11 +41,39 @@ OoOCore::OoOCore(const program::Program &prog, const CoreConfig &config,
     intIqReady.reserve(cfg.intIqEntries);
     fpIqReady.reserve(cfg.fpIqEntries);
     brIqReady.reserve(cfg.brIqEntries);
-    intWaiters.resize(cfg.intPhysRegs);
-    fpWaiters.resize(cfg.fpPhysRegs);
-    predWaiters.resize(cfg.predPhysRegs);
-    eventHeap.reserve(cfg.robEntries);
-    dueScratch.reserve(cfg.robEntries);
+    intWaiters.assign(cfg.intPhysRegs, noWaiter);
+    fpWaiters.assign(cfg.fpPhysRegs, noWaiter);
+    predWaiters.assign(cfg.predPhysRegs, noWaiter);
+    loadQ.init(cfg.lqEntries);
+    storeQ.init(cfg.sqEntries);
+
+    // Completion wheel: one lap spans an uncontended load miss to memory.
+    const Cycle reach = cfg.agenLat + cfg.mem.l1d.hitLatency +
+        cfg.mem.l2.hitLatency + cfg.mem.memLatency;
+    Cycle span = 1;
+    while (span <= reach)
+        span <<= 1;
+    wheel.assign(span, CompletionEvent::none);
+    wheelMask = span - 1;
+    events.assign(rob.capacity(), CompletionEvent{});
+    dueScratch.reserve(rob.capacity());
+
+    // Waiter pool: two waits per ROB entry. An instruction can wait on
+    // four producers (two sources, a CMOV's predicate and old
+    // destination), but the Figure-5 suite peaks at 177 outstanding
+    // waits on the 256-entry ROB; a wider fan-out grows the pool once.
+    waitNodes.resize(2 * std::size_t(cfg.robEntries));
+    for (std::uint32_t n = 0; n < waitNodes.size(); ++n)
+        waitNodes[n].next = n + 1 < waitNodes.size() ? n + 1 : noWaiter;
+    freeWaitNodes = 0;
+
+    perBranchIndex.assign(prog.size(), 0);
+    for (std::size_t i = 0; i < prog.size(); ++i) {
+        if (!prog.image()[i].isConditionalBranch())
+            continue;
+        perBranchIndex[i] = static_cast<std::uint32_t>(perBranch.size());
+        perBranch.push_back({program::Program::addrOf(i), {}});
+    }
 }
 
 OoOCore::OoOCore(const program::Program &prog, const CoreConfig &config,
@@ -441,14 +469,14 @@ OoOCore::renameOne()
         if (ins->pdst1 != isa::regP0 && ins->pdst1 != invalidReg) {
             const PhysRegIndex old = pprf.lookup(ins->pdst1);
             d.pdstPhys1 = pprf.allocate(ins->pdst1, d.seq);
-            predWaiters[d.pdstPhys1].clear();
+            freeWaiters(predWaiters[d.pdstPhys1]);
             d.renames[uslot++] = {RenameUndo::Class::Pred, ins->pdst1, old,
                                   d.pdstPhys1};
         }
         if (ins->pdst2 != isa::regP0 && ins->pdst2 != invalidReg) {
             const PhysRegIndex old = pprf.lookup(ins->pdst2);
             d.pdstPhys2 = pprf.allocate(ins->pdst2, d.seq);
-            predWaiters[d.pdstPhys2].clear();
+            freeWaiters(predWaiters[d.pdstPhys2]);
             d.renames[uslot++] = {RenameUndo::Class::Pred, ins->pdst2, old,
                                   d.pdstPhys2};
         }
@@ -466,7 +494,7 @@ OoOCore::renameOne()
                                         : RenameUndo::Class::Int;
         d.oldDstPhys = map.lookup(ins->dst);
         d.dstPhys = map.allocate(ins->dst);
-        (ins->isFp() ? fpWaiters : intWaiters)[d.dstPhys].clear();
+        freeWaiters((ins->isFp() ? fpWaiters : intWaiters)[d.dstPhys]);
         d.renames[0] = {rclass, ins->dst, d.oldDstPhys, d.dstPhys};
     }
 
@@ -548,19 +576,19 @@ OoOCore::enqueueForIssue(DynInst &d)
     auto wait_int = [&](PhysRegIndex p) {
         if (p == invalidPhysReg || intMap.isReady(p, now))
             return;
-        intWaiters[p].push_back({d.robSlot, d.seq});
+        addWaiter(intWaiters[p], d);
         ++d.waitCount;
     };
     auto wait_fp = [&](PhysRegIndex p) {
         if (p == invalidPhysReg || fpMap.isReady(p, now))
             return;
-        fpWaiters[p].push_back({d.robSlot, d.seq});
+        addWaiter(fpWaiters[p], d);
         ++d.waitCount;
     };
     auto wait_pred = [&](PhysRegIndex p) {
         if (p == invalidPhysReg || pprf.entry(p).readyCycle <= now)
             return;
-        predWaiters[p].push_back({d.robSlot, d.seq});
+        addWaiter(predWaiters[p], d);
         ++d.waitCount;
     };
 
@@ -595,37 +623,77 @@ OoOCore::enqueueForIssue(DynInst &d)
 }
 
 void
-OoOCore::wakeWaiters(std::vector<RobRef> &waiters)
+OoOCore::addWaiter(std::uint32_t &head, const DynInst &d)
 {
-    for (const RobRef &ref : waiters) {
-        DynInst *w = rob.at(ref);
+    std::uint32_t n = freeWaitNodes;
+    if (n == noWaiter) {
+        n = static_cast<std::uint32_t>(waitNodes.size());
+        waitNodes.emplace_back();
+    } else {
+        freeWaitNodes = waitNodes[n].next;
+    }
+    waitNodes[n] = {d.seq, d.robSlot, head};
+    head = n;
+}
+
+void
+OoOCore::wakeWaiters(std::uint32_t &head)
+{
+    // Wakeup order does not matter: promotion inserts in seq order.
+    for (std::uint32_t n = head; n != noWaiter; n = waitNodes[n].next) {
+        DynInst *w = rob.at(waitNodes[n].slot, waitNodes[n].seq);
         if (w == nullptr || w->stage != InstStage::Renamed)
             continue; // squashed since it registered
         if (--w->waitCount == 0)
             pushReadyAtWakeup(w);
     }
-    waiters.clear();
+    freeWaiters(head);
 }
 
-namespace
+void
+OoOCore::freeWaiters(std::uint32_t &head)
 {
-
-/** Min-heap ordering for completion events: earliest (cycle, seq) first. */
-template <typename Event>
-bool
-eventAfter(const Event &a, const Event &b)
-{
-    return a.cycle != b.cycle ? a.cycle > b.cycle : a.seq > b.seq;
+    if (head == noWaiter)
+        return;
+    std::uint32_t tail = head;
+    while (waitNodes[tail].next != noWaiter)
+        tail = waitNodes[tail].next;
+    waitNodes[tail].next = freeWaitNodes;
+    freeWaitNodes = head;
+    head = noWaiter;
 }
 
-} // namespace
+void
+OoOCore::unlinkEvent(std::uint32_t slot)
+{
+    CompletionEvent &e = events[slot];
+    if (e.prev != CompletionEvent::none)
+        events[e.prev].next = e.next;
+    else
+        wheel[e.cycle & wheelMask] = e.next;
+    if (e.next != CompletionEvent::none)
+        events[e.next].prev = e.prev;
+    e.linked = false;
+}
 
 void
 OoOCore::scheduleCompletion(const DynInst &d, Cycle done)
 {
-    eventHeap.push_back({done, d.seq, d.robSlot});
-    std::push_heap(eventHeap.begin(), eventHeap.end(),
-                   eventAfter<CompletionEvent>);
+    const std::uint32_t slot = d.robSlot;
+    CompletionEvent &e = events[slot];
+    // Still linked: the event of a squashed earlier occupant of this
+    // slot, which the drain would drop anyway.
+    if (e.linked)
+        unlinkEvent(slot);
+    e.cycle = std::max(done, now + 1);
+    e.seq = d.seq;
+    std::uint32_t &head = wheel[e.cycle & wheelMask];
+    e.prev = CompletionEvent::none;
+    e.next = head;
+    if (head != CompletionEvent::none)
+        events[head].prev = slot;
+    head = slot;
+    e.linked = true;
 }
 
 Cycle
@@ -683,7 +751,8 @@ OoOCore::doIssue()
                 bool blocked = false;
                 const StoreRecord *fwd = nullptr;
                 const Addr line_key = d->memAddr >> 3;
-                for (const StoreRecord &s : storeQ) {
+                for (std::size_t i = 0; i < storeQ.size(); ++i) {
+                    const StoreRecord &s = storeQ[i];
                     if (s.seq >= d->seq)
                         break;
                     if (!s.addrReady || s.addrReadyCycle > now) {
@@ -872,28 +941,23 @@ OoOCore::completeBranch(DynInst &d)
 void
 OoOCore::processCompletions()
 {
-    // Collect every event due this cycle into the reused scratch buffer,
-    // oldest instruction first. The heap pops in (cycle, seq) order, so
-    // a batch drawn from a single cycle — the norm, since every event is
-    // scheduled strictly in the future and drained every cycle — is
-    // already seq-sorted. Only a batch spanning distinct cycles (possible
-    // under zero-latency configs) needs the seq-only re-sort hardware
-    // retirement order implies.
+    // Every event is filed at least one cycle ahead and the wheel is
+    // drained every cycle, so the events due now are exactly this
+    // bucket's entries for this cycle; the rest are a later lap's. The
+    // batch is processed oldest instruction first, the order hardware
+    // retirement implies.
     dueScratch.clear();
-    Cycle first_cycle = 0;
-    bool multi_cycle = false;
-    while (!eventHeap.empty() && eventHeap.front().cycle <= now) {
-        if (dueScratch.empty())
-            first_cycle = eventHeap.front().cycle;
-        else if (eventHeap.front().cycle != first_cycle)
-            multi_cycle = true;
-        std::pop_heap(eventHeap.begin(), eventHeap.end(),
-                      eventAfter<CompletionEvent>);
-        dueScratch.emplace_back(eventHeap.back().seq,
-                                eventHeap.back().slot);
-        eventHeap.pop_back();
+    std::uint32_t slot = wheel[now & wheelMask];
+    while (slot != CompletionEvent::none) {
+        const CompletionEvent &e = events[slot];
+        const std::uint32_t next = e.next;
+        if (e.cycle == now) {
+            dueScratch.emplace_back(e.seq, slot);
+            unlinkEvent(slot);
+        }
+        slot = next;
     }
-    if (multi_cycle)
+    if (dueScratch.size() > 1)
         std::sort(dueScratch.begin(), dueScratch.end());
 
     for (const auto &[seq, slot] : dueScratch) {
@@ -956,7 +1020,8 @@ OoOCore::commitTrain(DynInst &d)
         if (d.earlyResolved)
             ++stats_.earlyResolvedBranches;
 
-        BranchProfile &bp = perBranch[d.pc];
+        BranchProfile &bp =
+            perBranch[perBranchIndex[d.pc / isa::instBytes]].second;
         ++bp.executed;
         if (d.finalPredTaken != actual) {
             ++bp.mispredicted;
@@ -1204,7 +1269,9 @@ OoOCore::dumpState() const
                  static_cast<unsigned long long>(stats_.committedInsts),
                  rob.robSize(), rob.feSize(), intIqCount, fpIqCount,
                  brIqCount, loadQ.size(), storeQ.size(),
-                 eventHeap.size());
+                 static_cast<std::size_t>(std::count_if(
+                     events.begin(), events.end(),
+                     [](const CompletionEvent &e) { return e.linked; })));
     logRawf("fetchPc=0x%llx resume=%llu halted=%d onOracle=%d "
                  "cursor=%llu base=%llu free(i/f/p)=%zu/%zu\n",
                  static_cast<unsigned long long>(fetchPc),
@@ -1236,10 +1303,10 @@ OoOCore::dumpState() const
 std::vector<std::pair<Addr, OoOCore::BranchProfile>>
 OoOCore::branchProfiles() const
 {
-    std::vector<std::pair<Addr, BranchProfile>> out(perBranch.begin(),
-                                                    perBranch.end());
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
+    std::vector<std::pair<Addr, BranchProfile>> out;
+    for (const auto &entry : perBranch)
+        if (entry.second.executed > 0)
+            out.push_back(entry);
     return out;
 }
 

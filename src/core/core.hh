@@ -15,8 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -137,8 +135,8 @@ class OoOCore
 
     /**
      * Per-PC profile of committed conditional branches, sorted by PC.
-     * Collected in an unordered map on the commit path; ordering is
-     * imposed only here, at readout.
+     * Counted in flat storage built at construction (one entry per static
+     * conditional branch); branches that never committed are left out.
      */
     std::vector<std::pair<Addr, BranchProfile>> branchProfiles() const;
 
@@ -181,13 +179,19 @@ class OoOCore
      */
     void enqueueForIssue(DynInst &d);
 
+    /** Enlist @p d on the waiter list headed by @p head. */
+    void addWaiter(std::uint32_t &head, const DynInst &d);
+
     /**
      * Producer broadcast: decrement every live waiter's pending count
      * and promote those that reach zero to their ready list. Squashed
      * waiters are detected via their stale (slot, seq) reference and
      * dropped. The list is consumed.
      */
-    void wakeWaiters(std::vector<RobRef> &waiters);
+    void wakeWaiters(std::uint32_t &head);
+
+    /** Empty the list headed by @p head, returning its nodes. */
+    void freeWaiters(std::uint32_t &head);
 
     std::vector<DynInst *> &readyList(IqClass c);
     unsigned &iqCount(IqClass c);
@@ -202,8 +206,15 @@ class OoOCore
     void pushReadyAtRename(DynInst *d);
     void pushReadyAtWakeup(DynInst *d);
 
-    /** Push a completion event for @p d at cycle @p done. */
+    /**
+     * File @p d's completion on the timing wheel under cycle
+     * max(@p done, now + 1): processCompletions() has already run this
+     * cycle, so a zero-latency result completes on the next one. O(1).
+     */
     void scheduleCompletion(const DynInst &d, Cycle done);
+
+    /** Remove slot @p slot's event from its wheel bucket. */
+    void unlinkEvent(std::uint32_t slot);
     /// @}
 
     /** @name Flush machinery */
@@ -268,7 +279,7 @@ class OoOCore
      * Store-queue entry: the address state loads poll for conservative
      * disambiguation, cached flat so the per-load scan never touches the
      * ROB. Kept in rename (= sequence) order; absolute position
-     * @ref DynInst::sqPos minus @ref sqBase indexes the deque.
+     * @ref DynInst::sqPos minus @ref sqBase indexes the ring.
      */
     struct StoreRecord
     {
@@ -278,12 +289,21 @@ class OoOCore
         bool addrReady = false;
     };
 
-    /** One pending completion in the min-heap event queue. */
+    /**
+     * The pending completion of the instruction in one ROB ring slot, a
+     * node of its timing-wheel bucket's doubly linked list. A slot holds
+     * at most one live event; an event left behind by a squashed
+     * occupant is dropped at drain by its stale (slot, seq), or unlinked
+     * when the slot's next occupant schedules its own.
+     */
     struct CompletionEvent
     {
+        static constexpr std::uint32_t none = ~0u;
         Cycle cycle = 0;
         InstSeqNum seq = invalidSeqNum;
-        std::uint32_t slot = 0;
+        std::uint32_t prev = none;
+        std::uint32_t next = none;
+        bool linked = false;
     };
 
     /** @name Queues */
@@ -305,17 +325,40 @@ class OoOCore
     unsigned fpIqCount = 0;
     unsigned brIqCount = 0;
 
-    /** Per-physical-register waiter lists (consumer wakeup). */
-    std::vector<std::vector<RobRef>> intWaiters;
-    std::vector<std::vector<RobRef>> fpWaiters;
-    std::vector<std::vector<RobRef>> predWaiters;
+    /**
+     * Per-physical-register waiter lists (consumer wakeup): singly
+     * linked lists headed per register, over one node pool shared by
+     * every list. Consumed and emptied lists return their nodes to the
+     * pool's free list, so the pool grows only past its high-water mark.
+     */
+    struct WaitNode
+    {
+        InstSeqNum seq = invalidSeqNum; ///< the waiting consumer's
+        std::uint32_t slot = 0;         ///< ... (slot, seq) reference
+        std::uint32_t next = 0;
+    };
+    static constexpr std::uint32_t noWaiter = ~0u;
+    std::vector<WaitNode> waitNodes;
+    std::uint32_t freeWaitNodes = noWaiter;
+    std::vector<std::uint32_t> intWaiters;
+    std::vector<std::uint32_t> fpWaiters;
+    std::vector<std::uint32_t> predWaiters;
 
-    std::deque<InstSeqNum> loadQ;
-    std::deque<StoreRecord> storeQ;
+    FixedRing<InstSeqNum> loadQ;
+    FixedRing<StoreRecord> storeQ;
     std::uint64_t sqBase = 0; ///< absolute position of storeQ.front()
 
-    /** Binary min-heap on (cycle, seq) + reused same-cycle scratch. */
-    std::vector<CompletionEvent> eventHeap;
+    /**
+     * Completion timing wheel (a calendar queue): bucket c & wheelMask
+     * heads the list of events due at cycle c. The span covers an
+     * uncontended miss to memory; an event further out (MSHR queueing)
+     * stays in its bucket across laps until its cycle comes round.
+     * Nodes are the per-slot @ref events, so nothing is allocated after
+     * construction. dueScratch is the reused per-cycle drain batch.
+     */
+    std::vector<std::uint32_t> wheel;
+    Cycle wheelMask = 0;
+    std::vector<CompletionEvent> events;
     std::vector<std::pair<InstSeqNum, std::uint32_t>> dueScratch;
     /// @}
 
@@ -376,7 +419,13 @@ class OoOCore
     Cycle now = 0;
     InstSeqNum seqCounter = 0;
     CoreStats stats_;
-    std::unordered_map<Addr, BranchProfile> perBranch;
+
+    /**
+     * Branch profiles of the image's conditional branches in PC order,
+     * and each static instruction's index into it (commit-path lookup).
+     */
+    std::vector<std::pair<Addr, BranchProfile>> perBranch;
+    std::vector<std::uint32_t> perBranchIndex;
 };
 
 } // namespace core

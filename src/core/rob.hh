@@ -33,13 +33,6 @@ namespace pp
 namespace core
 {
 
-/** Reference to a ROB entry that may have been squashed since taken. */
-struct RobRef
-{
-    std::uint32_t slot = 0;
-    InstSeqNum seq = invalidSeqNum;
-};
-
 /** Fixed-capacity ring of stable DynInst slots (ROB + fetch buffer). */
 class RobRing
 {
@@ -66,6 +59,9 @@ class RobRing
 
     /** All in-flight entries. */
     std::size_t total() const { return total_; }
+
+    /** Slot count (a power of two): every slot index is below it. */
+    std::size_t capacity() const { return cap_; }
 
     /** Oldest renamed instruction (commit candidate). @pre robSize()>0 */
     DynInst &front() { return slots_[head_]; }
@@ -132,8 +128,6 @@ class RobRing
         return d.seq == seq ? &d : nullptr;
     }
 
-    DynInst *at(const RobRef &ref) { return at(ref.slot, ref.seq); }
-
     /** Entry @p i positions behind the head (0 = oldest in flight). */
     DynInst &atIndex(std::size_t i) { return slots_[(head_ + i) & mask_]; }
     const DynInst &
@@ -159,6 +153,61 @@ class RobRing
     std::uint32_t head_ = 0;
     std::uint32_t renamed_ = 0;
     std::uint32_t total_ = 0;
+};
+
+/**
+ * Fixed-capacity FIFO with deque-style ends (the load and store queues).
+ * Storage is sized once by init(); pushing past the capacity is a bug,
+ * since rename admits an entry only while the queue has room.
+ */
+template <typename T>
+class FixedRing
+{
+  public:
+    /** Size the ring for @p capacity entries (rounded up to 2^n). */
+    void
+    init(std::size_t capacity)
+    {
+        std::size_t cap = 1;
+        while (cap < capacity)
+            cap <<= 1;
+        buf_.assign(cap, T{});
+        mask_ = cap - 1;
+        head_ = 0;
+        size_ = 0;
+    }
+
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+
+    /** Entry @p i positions behind the front. */
+    T &operator[](std::size_t i) { return buf_[(head_ + i) & mask_]; }
+
+    T &front() { return buf_[head_]; }
+    T &back() { return buf_[(head_ + size_ - 1) & mask_]; }
+
+    void
+    push_back(const T &v)
+    {
+        panicIfNot(size_ <= mask_, "fixed ring overflow");
+        buf_[(head_ + size_) & mask_] = v;
+        ++size_;
+    }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) & mask_;
+        --size_;
+    }
+
+    void pop_back() { --size_; }
+
+  private:
+    std::vector<T> buf_;
+    std::size_t mask_ = 0;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace core

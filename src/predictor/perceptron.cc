@@ -11,7 +11,7 @@ namespace predictor
 PerceptronTable::PerceptronTable(unsigned num_entries, unsigned global_bits,
                                  unsigned local_bits, bool no_alias)
     : entries(num_entries), globalBits(global_bits), localBits(local_bits),
-      noAlias(no_alias)
+      noAlias(no_alias), aliasFreeIndex(no_alias ? num_entries : 0)
 {
     weights.assign(static_cast<std::size_t>(entries) * rowWeights(), 0);
     rowSums.assign(entries, 0);
@@ -25,17 +25,17 @@ PerceptronTable::row(std::uint64_t key)
         return static_cast<std::uint32_t>(key < entries ? key
                                                         : key % entries);
     }
-    auto it = aliasFreeIndex.find(key);
-    if (it != aliasFreeIndex.end())
-        return it->second;
+    std::uint32_t &slot = aliasFreeIndex[key];
+    if (slot != 0)
+        return slot - 1;
     // Grow the table: idealized mode gives every key a private row.
-    const auto r = static_cast<std::uint32_t>(aliasFreeIndex.size());
+    const std::uint32_t r = aliasFreeRows++;
     if (r >= entries) {
         weights.resize(weights.size() + rowWeights(), 0);
         rowSums.push_back(0);
         ++entries;
     }
-    aliasFreeIndex.emplace(key, r);
+    slot = r + 1;
     return r;
 }
 
@@ -107,7 +107,8 @@ PerceptronTable::storageBytes() const
 PerceptronPredictor::PerceptronPredictor(const PerceptronConfig &config)
     : cfg(config),
       table(config.tableEntries, config.globalBits, config.localBits,
-            config.noAlias)
+            config.noAlias),
+      lhtNoAlias(config.noAlias ? config.tableEntries : 0)
 {
     panicIfNot(isPowerOfTwo(cfg.lhtEntries), "LHT entries must be 2^n");
     lht.assign(cfg.lhtEntries, 0);
@@ -118,7 +119,7 @@ PerceptronPredictor::localEntry(Addr pc, std::uint32_t &index_out)
 {
     if (cfg.noAlias) {
         index_out = 0;
-        return lhtNoAlias[pc];
+        return lhtNoAlias[pc / 4];
     }
     index_out = static_cast<std::uint32_t>((pc / 4) & (cfg.lhtEntries - 1));
     return lht[index_out];
@@ -135,7 +136,7 @@ PerceptronPredictor::predict(const BranchContext &ctx, PredState &st)
     st.ghrCkpt = ghr;
     st.localCkpt = lentry;
     st.lhtIndex = lht_idx;
-    st.tableIndex = table.row(cfg.noAlias ? ctx.pc
+    st.tableIndex = table.row(cfg.noAlias ? ctx.pc / 4
                                           : mix64(ctx.pc / 4));
     st.output = table.output(st.tableIndex, ghr, lentry);
     st.predTaken = st.output >= 0;
@@ -167,7 +168,7 @@ PerceptronPredictor::squash(const PredState &st)
         return;
     ghr = st.ghrCkpt;
     if (cfg.noAlias)
-        lhtNoAlias[st.pc] = st.localCkpt;
+        lhtNoAlias[st.pc / 4] = st.localCkpt;
     else
         lht[st.lhtIndex] = st.localCkpt;
 }
@@ -181,7 +182,7 @@ PerceptronPredictor::correctHistory(const PredState &st, bool taken)
     const std::uint64_t fixed =
         ((st.localCkpt << 1) | (taken ? 1 : 0)) & mask(cfg.localBits);
     if (cfg.noAlias)
-        lhtNoAlias[st.pc] = fixed;
+        lhtNoAlias[st.pc / 4] = fixed;
     else
         lht[st.lhtIndex] = fixed;
 }
@@ -197,7 +198,7 @@ PerceptronPredictor::reforecast(PredState &st, bool new_dir)
         const std::uint64_t fixed =
             ((st.localCkpt << 1) | (new_dir ? 1 : 0)) & mask(cfg.localBits);
         if (cfg.noAlias)
-            lhtNoAlias[st.pc] = fixed;
+            lhtNoAlias[st.pc / 4] = fixed;
         else
             lht[st.lhtIndex] = fixed;
     }

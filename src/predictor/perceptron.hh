@@ -8,8 +8,8 @@
 #ifndef PP_PREDICTOR_PERCEPTRON_HH
 #define PP_PREDICTOR_PERCEPTRON_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "predictor/direction_predictor.hh"
@@ -44,6 +44,31 @@ struct PerceptronConfig
 };
 
 /**
+ * Zero-initialized flat storage indexed by a dense key (pc / 4 and the
+ * like): the idealized no-alias tables' one private entry per static
+ * instruction. It starts with room for @p reach keys and grows
+ * geometrically past the highest key seen, so a lookup allocates
+ * nothing once the program's keys fit.
+ */
+template <typename T>
+class DenseTable
+{
+  public:
+    explicit DenseTable(std::size_t reach = 0) : slots(reach) {}
+
+    T &
+    operator[](std::size_t key)
+    {
+        if (key >= slots.size())
+            slots.resize(std::max(key + 1, 2 * slots.size()));
+        return slots[key];
+    }
+
+  private:
+    std::vector<T> slots;
+};
+
+/**
  * Shared perceptron machinery: a weight table plus dot-product/train
  * helpers. Used by both the conventional predictor and the predicate
  * predictor (the paper's point is that the *same* structure serves both).
@@ -58,8 +83,8 @@ class PerceptronTable
     unsigned rowWeights() const { return 1 + globalBits + localBits; }
 
     /**
-     * Resolve the row for @p key (a hashed index in aliased mode, the
-     * full unique key in no-alias mode).
+     * Resolve the row for @p key (a hashed index in aliased mode, a
+     * dense per-static-instruction key in no-alias mode).
      */
     std::uint32_t row(std::uint64_t key);
 
@@ -96,7 +121,9 @@ class PerceptronTable
      */
     std::vector<std::int32_t> rowSums;
 
-    std::unordered_map<std::uint64_t, std::uint32_t> aliasFreeIndex;
+    /** No-alias mode: row + 1 per key (0: no row yet). */
+    DenseTable<std::uint32_t> aliasFreeIndex;
+    std::uint32_t aliasFreeRows = 0;
 };
 
 /** The conventional branch perceptron (branch-PC indexed). */
@@ -126,7 +153,7 @@ class PerceptronPredictor : public DirectionPredictor
     PerceptronTable table;
     std::uint64_t ghr = 0;
     std::vector<std::uint64_t> lht;
-    std::unordered_map<std::uint64_t, std::uint64_t> lhtNoAlias;
+    DenseTable<std::uint64_t> lhtNoAlias; ///< by pc / 4
 };
 
 } // namespace predictor

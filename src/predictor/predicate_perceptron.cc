@@ -14,7 +14,8 @@ PredicatePerceptron::PredicatePerceptron(
       table(config.tableEntries, config.globalBits, config.localBits,
             config.noAlias),
       confCounters(config.tableEntries,
-                   SatCounter(config.confidenceBits, 0))
+                   SatCounter(config.confidenceBits, 0)),
+      lhtNoAlias(config.noAlias ? config.tableEntries : 0)
 {
     panicIfNot(isPowerOfTwo(cfg.lhtEntries), "LHT entries must be 2^n");
     lht.assign(cfg.lhtEntries, 0);
@@ -25,8 +26,8 @@ PredicatePerceptron::pvtRows(Addr pc, bool need_second,
                              std::uint32_t &idx1, std::uint32_t &idx2)
 {
     if (cfg.noAlias) {
-        idx1 = table.row(pc * 2);
-        idx2 = need_second ? table.row(pc * 2 + 1) : idx1;
+        idx1 = table.row(pc / 4 * 2);
+        idx2 = need_second ? table.row(pc / 4 * 2 + 1) : idx1;
         return;
     }
     const std::uint64_t h = mix64(pc / 4);
@@ -53,7 +54,7 @@ PredicatePerceptron::localEntry(Addr pc, std::uint32_t &index_out)
 {
     if (cfg.noAlias) {
         index_out = 0;
-        return lhtNoAlias[pc];
+        return lhtNoAlias[pc / 4];
     }
     index_out = static_cast<std::uint32_t>((pc / 4) & (cfg.lhtEntries - 1));
     return lht[index_out];
@@ -134,7 +135,7 @@ PredicatePerceptron::squash(const PredPredState &st)
         return;
     ghr = st.ghrCkpt;
     if (cfg.noAlias)
-        lhtNoAlias[st.pc] = st.localCkpt;
+        lhtNoAlias[st.pc / 4] = st.localCkpt;
     else
         lht[st.lhtIndex] = st.localCkpt;
 }

@@ -24,7 +24,6 @@
 #define PP_PREDICTOR_PREDICATE_PERCEPTRON_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sat_counter.hh"
@@ -130,7 +129,7 @@ class PredicatePerceptron
     std::vector<SatCounter> confCounters;
     std::uint64_t ghr = 0;
     std::vector<std::uint64_t> lht;
-    std::unordered_map<std::uint64_t, std::uint64_t> lhtNoAlias;
+    DenseTable<std::uint64_t> lhtNoAlias; ///< by pc / 4
 };
 
 } // namespace predictor

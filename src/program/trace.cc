@@ -134,9 +134,9 @@ void
 TraceFile::validate(const std::string &benchmark, std::uint64_t seed,
                     bool if_converted, std::uint64_t min_insts) const
 {
-    panicIfNot(meta_.benchmark == benchmark,
-               "trace is for benchmark '" + meta_.benchmark +
-               "', run wants '" + benchmark + "'");
+    if (meta_.benchmark != benchmark)
+        panic("trace is for benchmark '" + meta_.benchmark +
+              "', run wants '" + benchmark + "'");
     panicIfNot(meta_.seed == seed,
                "trace was recorded under a different generation seed");
     panicIfNot(meta_.ifConverted == if_converted,
@@ -224,8 +224,8 @@ TraceFile::deserialize(const std::vector<std::uint8_t> &bytes)
     for (ConditionStream &s : streams) {
         const std::uint64_t bits = r.u64();
         const std::uint64_t words = (bits + 63) / 64;
-        panicIfNot(words <= (bytes.size() - r.at) / 8,
-                   std::string(kWhat) + " truncated");
+        if (words > (bytes.size() - r.at) / 8)
+            panic(std::string(kWhat) + " truncated");
         s.length = bits;
         s.words.resize(static_cast<std::size_t>(words));
         for (auto &w : s.words)
@@ -244,12 +244,12 @@ TraceFile::store(const std::string &path) const
 {
     const std::vector<std::uint8_t> bytes = serialize();
     std::string error;
-    panicIfNot(writeFileAtomic(path,
-                               std::string(reinterpret_cast<const char *>(
-                                               bytes.data()),
-                                           bytes.size()),
-                               &error),
-               "error writing trace file: " + error);
+    if (!writeFileAtomic(path,
+                         std::string(reinterpret_cast<const char *>(
+                                         bytes.data()),
+                                     bytes.size()),
+                         &error))
+        panic("error writing trace file: " + error);
 }
 
 TraceError::TraceError(Kind kind, const std::string &path,

@@ -83,6 +83,76 @@ static_assert(sizeof(kGolden) / sizeof(kGolden[0]) ==
                   sizeof(sampling::kAccuracyGrid[0]),
               "golden expectations must cover the shared grid exactly");
 
+/**
+ * Completion-queue edge cases the grid's default machine never reaches,
+ * pinned so the completion queue's ordering and range are held to the
+ * binary heap it replaced:
+ *  - zero execute latencies: a result completes in its issue cycle, so
+ *    it is drained together with the next cycle's events and the batch
+ *    spans two cycles (still processed oldest first);
+ *  - a 600-cycle memory behind one MSHR per level: queued misses
+ *    complete far beyond one lap of the timing wheel.
+ * Captured at commit 5ff06ec (binary-heap completion queue), Release
+ * build, via sim::run(binary, profile, scheme, cfg, 10000, 60000).
+ */
+struct EdgeCell
+{
+    const char *benchmark;
+    bool ifConvert;
+    const char *scheme;
+    core::CoreConfig (*config)();
+    GoldenStats expected;
+};
+
+core::CoreConfig
+zeroLatencyConfig()
+{
+    core::CoreConfig c;
+    c.intAluLat = c.intMultLat = c.fpAddLat = c.fpMulLat = c.fpDivLat = 0;
+    c.compareLat = c.branchLat = c.agenLat = c.forwardLat = 0;
+    return c;
+}
+
+core::CoreConfig
+farMemoryConfig()
+{
+    core::CoreConfig c;
+    c.mem.memLatency = 600;
+    c.mem.l1d.mshrs = 1;
+    c.mem.l2.mshrs = 1;
+    return c;
+}
+
+const EdgeCell kEdgeCells[] = {
+    {"gzip", true, "selective", zeroLatencyConfig,
+     {16289ull, 60000ull, 3502ull, 106ull, 1390ull, 101ull, 106ull, 0ull,
+      0ull, 5383ull, 1797ull, 345ull, 3054ull, 18ull, 4535ull, 443ull}},
+    {"mcf", false, "conventional", farMemoryConfig,
+     {130439ull, 59995ull, 4250ull, 537ull, 0ull, 371ull, 536ull, 0ull,
+      0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 4249ull, 0ull}},
+};
+
+void
+expectStats(const core::CoreStats &s, const GoldenStats &e)
+{
+    EXPECT_EQ(s.cycles, e.cycles);
+    EXPECT_EQ(s.committedInsts, e.committedInsts);
+    EXPECT_EQ(s.committedCondBranches, e.committedCondBranches);
+    EXPECT_EQ(s.mispredictedCondBranches, e.mispredictedCondBranches);
+    EXPECT_EQ(s.earlyResolvedBranches, e.earlyResolvedBranches);
+    EXPECT_EQ(s.overrideRedirects, e.overrideRedirects);
+    EXPECT_EQ(s.branchMispredFlushes, e.branchMispredFlushes);
+    EXPECT_EQ(s.shadowMispredicts, e.shadowMispredicts);
+    EXPECT_EQ(s.earlyResolvedShadowWrong, e.earlyResolvedShadowWrong);
+    EXPECT_EQ(s.committedPredicated, e.committedPredicated);
+    EXPECT_EQ(s.nullifiedAtRename, e.nullifiedAtRename);
+    EXPECT_EQ(s.unguardedAtRename, e.unguardedAtRename);
+    EXPECT_EQ(s.cmovFallbacks, e.cmovFallbacks);
+    EXPECT_EQ(s.predicateFlushes, e.predicateFlushes);
+    EXPECT_EQ(s.committedCompares, e.committedCompares);
+    EXPECT_EQ(s.comparePd1Mispredicts, e.comparePd1Mispredicts);
+}
+
 } // namespace
 
 TEST(GoldenStats, BitIdenticalToPreRefactorCapture)
@@ -96,24 +166,20 @@ TEST(GoldenStats, BitIdenticalToPreRefactorCapture)
             profile, c.ifConvert,
             sampling::accuracySchemeByName(c.scheme), kWarmup,
             kMeasure);
-        const core::CoreStats &s = r.stats;
-        const GoldenStats &e = kGolden[i];
-        EXPECT_EQ(s.cycles, e.cycles);
-        EXPECT_EQ(s.committedInsts, e.committedInsts);
-        EXPECT_EQ(s.committedCondBranches, e.committedCondBranches);
-        EXPECT_EQ(s.mispredictedCondBranches,
-                  e.mispredictedCondBranches);
-        EXPECT_EQ(s.earlyResolvedBranches, e.earlyResolvedBranches);
-        EXPECT_EQ(s.overrideRedirects, e.overrideRedirects);
-        EXPECT_EQ(s.branchMispredFlushes, e.branchMispredFlushes);
-        EXPECT_EQ(s.shadowMispredicts, e.shadowMispredicts);
-        EXPECT_EQ(s.earlyResolvedShadowWrong, e.earlyResolvedShadowWrong);
-        EXPECT_EQ(s.committedPredicated, e.committedPredicated);
-        EXPECT_EQ(s.nullifiedAtRename, e.nullifiedAtRename);
-        EXPECT_EQ(s.unguardedAtRename, e.unguardedAtRename);
-        EXPECT_EQ(s.cmovFallbacks, e.cmovFallbacks);
-        EXPECT_EQ(s.predicateFlushes, e.predicateFlushes);
-        EXPECT_EQ(s.committedCompares, e.committedCompares);
-        EXPECT_EQ(s.comparePd1Mispredicts, e.comparePd1Mispredicts);
+        expectStats(r.stats, kGolden[i]);
+    }
+}
+
+TEST(GoldenStats, CompletionQueueEdgeConfigsBitIdentical)
+{
+    for (const EdgeCell &c : kEdgeCells) {
+        SCOPED_TRACE(std::string(c.benchmark) + "/" + c.scheme);
+        const auto profile = program::profileByName(c.benchmark);
+        const program::Program binary =
+            sim::buildBinary(profile, c.ifConvert);
+        const sim::RunResult r = sim::run(
+            binary, profile, sampling::accuracySchemeByName(c.scheme),
+            c.config(), kWarmup, kMeasure);
+        expectStats(r.stats, c.expected);
     }
 }
